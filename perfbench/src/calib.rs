@@ -1,10 +1,11 @@
 //! Machine-speed calibration. The host this benchmark runs on is shared,
-//! and its speed swings by up to 2× within an hour, far more than any
-//! bound a regression gate could use. Every run therefore times a fixed
-//! kernel — code of this file only, independent of the program under test
-//! — on both cores right before and right after its measurement window,
-//! and scales its timings to the kernel's reference time. A change to the
-//! program cannot move the kernel, so a slower program still reads slower.
+//! and its speed swings by up to 2× within an hour, and by a third within
+//! one run, far more than any bound a regression gate could use. Every run
+//! therefore times a fixed kernel — code of this file only, independent of
+//! the program under test — on both cores between the pieces of its
+//! measurement, and scales each piece's timings to the kernel's reference
+//! time. A change to the program cannot move the kernel, so a slower
+//! program still reads slower.
 
 use std::time::Instant;
 
@@ -55,4 +56,28 @@ pub fn measure() -> f64 {
             .collect()
     });
     median(&times).expect("calibration samples")
+}
+
+/// Kernel times sampled through one run: before its set-up, after it, and
+/// between its measurement slices (or report runs). Single samples are
+/// noisy (±20% from one to the next on this host), so the run is scaled
+/// by their median.
+#[derive(Debug, Default)]
+pub struct Calibration {
+    kernels_s: Vec<f64>,
+}
+
+impl Calibration {
+    pub fn sample(&mut self) {
+        self.kernels_s.push(measure());
+    }
+
+    /// The factor that scales this run's times to the reference speed.
+    pub fn scale(&self) -> f64 {
+        REFERENCE_S / median(&self.kernels_s).expect("at least one calibration sample")
+    }
+
+    pub fn kernels_s(&self) -> &[f64] {
+        &self.kernels_s
+    }
 }

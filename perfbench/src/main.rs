@@ -88,14 +88,11 @@ impl Named {
     }
 }
 
-/// One untraced run of a workload, in the contract's metric vocabulary:
-/// every workload has a primary operation (`op_*`) and a secondary one
-/// (`aux_*`); see README.md for what they are per workload.
-#[derive(Debug)]
-pub struct Measured {
-    pub attempted: u64,
-    pub failed: u64,
-    pub first_error: Option<String>,
+/// The result metrics of one run, in the contract's vocabulary: every
+/// workload has a primary operation (`op_*`) and a secondary one (`aux_*`);
+/// see README.md for what they are per workload.
+#[derive(Debug, Clone, Copy)]
+pub struct E2e {
     pub setup_s: f64,
     pub peak_rss_mb: f64,
     pub ops_per_s: f64,
@@ -103,26 +100,49 @@ pub struct Measured {
     pub op_tail_ms: f64,
     pub aux_p50_ms: f64,
     pub aux_tail_ms: f64,
+}
+
+impl E2e {
+    /// Timings multiplied by `factor`, rates divided by it.
+    fn scaled(self, factor: f64) -> E2e {
+        E2e {
+            setup_s: self.setup_s * factor,
+            peak_rss_mb: self.peak_rss_mb,
+            ops_per_s: self.ops_per_s / factor,
+            op_p50_ms: self.op_p50_ms * factor,
+            op_tail_ms: self.op_tail_ms * factor,
+            aux_p50_ms: self.aux_p50_ms * factor,
+            aux_tail_ms: self.aux_tail_ms * factor,
+        }
+    }
+
+    fn metrics(&self) -> Vec<(&'static str, f64, &'static str)> {
+        vec![
+            ("setup_s", self.setup_s, "s"),
+            ("peak_rss_mb", self.peak_rss_mb, "MiB"),
+            ("ops_per_s", self.ops_per_s, "1/s"),
+            ("op_p50_ms", self.op_p50_ms, "ms"),
+            ("op_tail_ms", self.op_tail_ms, "ms"),
+            ("aux_p50_ms", self.aux_p50_ms, "ms"),
+            ("aux_tail_ms", self.aux_tail_ms, "ms"),
+        ]
+    }
+}
+
+/// One untraced run of a workload.
+#[derive(Debug)]
+pub struct Measured {
+    pub attempted: u64,
+    pub failed: u64,
+    pub first_error: Option<String>,
+    /// As measured; the result scales it by `calibration`.
+    pub raw: E2e,
+    pub calibration: calib::Calibration,
     pub named: Named,
     /// The server's `/metrics` document at the end of the run.
     pub server_metrics: Option<Json>,
     /// Median client round-trip of `/compile`, µs.
     pub round_trip_us: Option<f64>,
-}
-
-impl Measured {
-    /// The result metrics, timings multiplied by `scale` (rates divided).
-    fn metrics(&self, scale: f64) -> Vec<(&'static str, f64, &'static str)> {
-        vec![
-            ("setup_s", self.setup_s * scale, "s"),
-            ("peak_rss_mb", self.peak_rss_mb, "MiB"),
-            ("ops_per_s", self.ops_per_s / scale, "1/s"),
-            ("op_p50_ms", self.op_p50_ms * scale, "ms"),
-            ("op_tail_ms", self.op_tail_ms * scale, "ms"),
-            ("aux_p50_ms", self.aux_p50_ms * scale, "ms"),
-            ("aux_tail_ms", self.aux_tail_ms * scale, "ms"),
-        ]
-    }
 }
 
 /// VmHWM from a `/proc/<pid>/status` file, in MiB.
@@ -267,14 +287,11 @@ pub fn result_line(attempted: u64, failed: u64, metrics: Json) -> Json {
 }
 
 fn run_untraced(ctx: &Ctx, seconds: f64) -> Result<(Json, Json), String> {
-    let before = calib::measure();
     let measured = match ctx.workload.as_str() {
         "serve-warm" => serve::run_warm(ctx, seconds)?,
         "serve-cold" => serve::run_cold(ctx, seconds)?,
         _ => report::run_report(ctx, seconds)?.0,
     };
-    let after = calib::measure();
-    let scale = calib::REFERENCE_S / ((before + after) / 2.0);
     if let Some(error) = &measured.first_error {
         eprintln!(
             "perfbench: {} of {} operations failed; first: {error}",
@@ -282,14 +299,16 @@ fn run_untraced(ctx: &Ctx, seconds: f64) -> Result<(Json, Json), String> {
         );
     }
     let calibration = Json::obj()
-        .field("kernel_before_s", before)
-        .field("kernel_after_s", after)
         .field("reference_s", calib::REFERENCE_S)
-        .field("scale", scale)
+        .field("scale", measured.calibration.scale())
+        .field(
+            "kernels_s",
+            Json::array(measured.calibration.kernels_s().iter().copied()),
+        )
         .build();
     let detail = Json::obj()
         .field("named_metrics", measured.named.to_json())
-        .field("raw_metrics", metrics_json(&measured.metrics(1.0)))
+        .field("raw_metrics", metrics_json(&measured.raw.metrics()))
         .field("calibration", calibration)
         .field(
             "first_error",
@@ -299,7 +318,7 @@ fn run_untraced(ctx: &Ctx, seconds: f64) -> Result<(Json, Json), String> {
     let last = result_line(
         measured.attempted,
         measured.failed,
-        metrics_json(&measured.metrics(scale)),
+        metrics_json(&measured.raw.scaled(measured.calibration.scale()).metrics()),
     );
     Ok((detail, last))
 }

@@ -11,8 +11,9 @@ use bench_suite::report::normalize_timings;
 use bench_suite::runner::{run_all, MatrixParams, RunSummary};
 use qcirc::json::Json;
 
+use crate::calib::Calibration;
 use crate::stats::median;
-use crate::{Measured, Named};
+use crate::{E2e, Measured, Named};
 
 /// Set-up-only child processes per run; `setup_s` is their median.
 const SETUPS: usize = 9;
@@ -162,15 +163,20 @@ fn setup_median(root: &Path) -> Result<f64, String> {
 }
 
 /// `report-paper`: fresh-process pipeline runs until `seconds` have
-/// passed (at least one). Returns the measurement and every run's result.
+/// passed (at least one), with a calibration sample before the set-up and
+/// after it and every run. Returns the measurement and every run's result.
 pub fn run_report(ctx: &crate::Ctx, seconds: f64) -> Result<(Measured, Vec<Json>), String> {
+    let mut calibration = Calibration::default();
+    calibration.sample();
     let setup_s = setup_median(&ctx.root)?;
+    calibration.sample();
     let started = Instant::now();
     let mut runs = Vec::new();
     let mut failed: u32 = 0;
     let mut first_error = None;
     while runs.is_empty() || started.elapsed().as_secs_f64() < seconds {
         let run = spawn_once(&ctx.root, false)?;
+        calibration.sample();
         let drifted: Vec<&str> = run
             .get("drift")
             .and_then(Json::as_array)
@@ -205,29 +211,31 @@ pub fn run_report(ctx: &crate::Ctx, seconds: f64) -> Result<(Measured, Vec<Json>
         others.push(times.iter().sum::<f64>() - slowest);
     }
     let med = |xs: &[f64]| median(xs).expect("at least one run");
-    let report_s = med(&walls);
-    let peak_rss_mb = med(&rss);
+    let raw = E2e {
+        setup_s,
+        peak_rss_mb: med(&rss),
+        ops_per_s: 1.0 / med(&walls),
+        op_p50_ms: med(&walls) * 1e3,
+        op_tail_ms: med(&critical) * 1e3,
+        aux_p50_ms: med(&warms) * 1e3,
+        aux_tail_ms: med(&others) * 1e3,
+    };
     let mut named = Named::default();
     named.push("setup_s", setup_s, "s", SETUPS);
-    named.push("peak_rss_mb", peak_rss_mb, "MiB", runs.len());
+    named.push("peak_rss_mb", raw.peak_rss_mb, "MiB", runs.len());
     named.push(
         "failed_ratio",
         f64::from(failed) / runs.len() as f64,
         "ratio",
         runs.len(),
     );
-    named.push("report_s", report_s, "s", runs.len());
+    named.push("report_s", raw.op_p50_ms / 1e3, "s", runs.len());
     let measured = Measured {
         attempted: runs.len() as u64,
         failed: u64::from(failed),
         first_error,
-        setup_s,
-        peak_rss_mb,
-        ops_per_s: 1.0 / report_s,
-        op_p50_ms: report_s * 1e3,
-        op_tail_ms: med(&critical) * 1e3,
-        aux_p50_ms: med(&warms) * 1e3,
-        aux_tail_ms: med(&others) * 1e3,
+        raw,
+        calibration,
         named,
         server_metrics: None,
         round_trip_us: None,

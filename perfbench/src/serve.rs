@@ -12,14 +12,18 @@ use std::time::{Duration, Instant};
 
 use qcirc::json::Json;
 
+use crate::calib::Calibration;
 use crate::client::Client;
 use crate::oracle::{self, Expected, Oracle};
 use crate::stats::{median, quantile};
 use crate::workload::{self, Endpoint, Program, Session, WALK_DEPTH, WALK_SHOTS};
-use crate::{Measured, Named};
+use crate::{E2e, Measured, Named};
 
 /// Client connections (= the box's 2 cores).
 pub const CONNECTIONS: usize = 2;
+/// Measurement slices per run; the machine's speed is calibrated between
+/// them (see `calib`).
+const SLICES: usize = 4;
 /// Server start-ups per run; `setup_s` is their median. A warm set-up
 /// includes the warm-up pass (about a second), a cold one does not.
 const WARM_SETUPS: usize = 3;
@@ -185,12 +189,60 @@ impl Tally {
         all
     }
 
+    /// Latencies of `kinds`, in µs.
     fn of(&self, kinds: &[Endpoint]) -> Vec<f64> {
         self.latencies
             .iter()
             .filter(|(e, _)| kinds.contains(e))
             .map(|&(_, us)| us)
             .collect()
+    }
+}
+
+/// A closed loop measured in [`SLICES`] equal slices of `seconds`, with a
+/// calibration sample after each. `run_slice(deadline)` runs one slice's
+/// client threads. Returns the merged tally and the total wall time.
+fn sliced(
+    seconds: f64,
+    calibration: &mut Calibration,
+    mut run_slice: impl FnMut(Instant) -> Vec<Tally>,
+) -> (Tally, f64) {
+    let mut tallies = Vec::new();
+    let mut wall = 0.0;
+    for _ in 0..SLICES {
+        let started = Instant::now();
+        let deadline = started + Duration::from_secs_f64(seconds / SLICES as f64);
+        tallies.extend(run_slice(deadline));
+        wall += started.elapsed().as_secs_f64();
+        calibration.sample();
+    }
+    (Tally::merge(tallies), wall)
+}
+
+/// Which requests are a workload's operations and which percentiles it
+/// reports.
+struct Spec {
+    op: &'static [Endpoint],
+    op_tail: f64,
+    aux: &'static [Endpoint],
+    aux_tail: f64,
+    /// Completed operations: requests, or sessions of two requests.
+    per_op: usize,
+}
+
+/// The result metrics of a closed loop.
+fn summarize(tally: &Tally, wall: f64, spec: &Spec, setup_s: f64, peak_rss_mb: f64) -> E2e {
+    let op = tally.of(spec.op);
+    let aux = tally.of(spec.aux);
+    let ms = |xs: &[f64], q: f64| quantile(xs, q).unwrap_or(f64::NAN) / 1e3;
+    E2e {
+        setup_s,
+        peak_rss_mb,
+        ops_per_s: (tally.latencies.len() / spec.per_op) as f64 / wall,
+        op_p50_ms: ms(&op, 0.5),
+        op_tail_ms: ms(&op, spec.op_tail),
+        aux_p50_ms: ms(&aux, 0.5),
+        aux_tail_ms: ms(&aux, spec.aux_tail),
     }
 }
 
@@ -244,67 +296,71 @@ pub fn run_warm(ctx: &crate::Ctx, seconds: f64) -> Result<Measured, String> {
         }
         Ok(())
     };
+    let mut calibration = Calibration::default();
+    calibration.sample();
     let (server, setup_s) = set_up(&ctx.out_dir, None, WARM_SETUPS, warm_up)?;
+    calibration.sample();
 
     let next = AtomicUsize::new(0);
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs_f64(seconds);
-    let tallies: Vec<Tally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CONNECTIONS)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut tally = Tally::default();
-                    let mut client = Client::new(server.addr);
-                    // Responses already checked in full, per body: a
-                    // byte-identical answer needs no second parse.
-                    let mut verified: HashMap<usize, Vec<u8>> = HashMap::new();
-                    while Instant::now() < deadline {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let index = mix.sequence[i % mix.sequence.len()] as usize;
-                        let body = &mix.bodies[index];
-                        tally.attempted += 1;
-                        let sent = Instant::now();
-                        let result = client.request("POST", body.endpoint.path(), &body.body);
-                        let us = sent.elapsed().as_secs_f64() * 1e6;
-                        match result {
-                            Ok((200, payload)) => {
-                                if verified.get(&index) != Some(&payload) {
-                                    if let Err(e) = verify_warm(body, &expected, &payload) {
-                                        tally.fail(e);
-                                        continue;
+    let (tally, wall) = sliced(seconds, &mut calibration, |deadline| {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..CONNECTIONS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut tally = Tally::default();
+                        let mut client = Client::new(server.addr);
+                        // Responses already checked in full, per body: a
+                        // byte-identical answer needs no second parse.
+                        let mut verified: HashMap<usize, Vec<u8>> = HashMap::new();
+                        while Instant::now() < deadline {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let index = mix.sequence[i % mix.sequence.len()] as usize;
+                            let body = &mix.bodies[index];
+                            tally.attempted += 1;
+                            let sent = Instant::now();
+                            let result = client.request("POST", body.endpoint.path(), &body.body);
+                            let us = sent.elapsed().as_secs_f64() * 1e6;
+                            match result {
+                                Ok((200, payload)) => {
+                                    if verified.get(&index) != Some(&payload) {
+                                        if let Err(e) = verify_warm(body, &expected, &payload) {
+                                            tally.fail(e);
+                                            continue;
+                                        }
+                                        if body.endpoint != Endpoint::Simulate {
+                                            verified.insert(index, payload);
+                                        }
                                     }
-                                    if body.endpoint != Endpoint::Simulate {
-                                        verified.insert(index, payload);
-                                    }
+                                    tally.latencies.push((body.endpoint, us));
                                 }
-                                tally.latencies.push((body.endpoint, us));
+                                Ok((status, _)) => tally
+                                    .fail(format!("{} answered {status}", body.endpoint.path())),
+                                Err(e) => tally.fail(format!("{}: {e}", body.endpoint.path())),
                             }
-                            Ok((status, _)) => {
-                                tally.fail(format!("{} answered {status}", body.endpoint.path()))
-                            }
-                            Err(e) => tally.fail(format!("{}: {e}", body.endpoint.path())),
                         }
-                    }
-                    tally
+                        tally
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client thread"))
+                .collect()
+        })
     });
-    let wall = started.elapsed().as_secs_f64();
-    let tally = Tally::merge(tallies);
     let peak_rss_mb = server.peak_rss_mb()?;
     let server_metrics = server.metrics()?;
     drop(server);
 
-    let round_trip_us = median(&tally.of(&[Endpoint::Compile]));
-    let hits = tally.of(&[Endpoint::Compile, Endpoint::Check]);
-    let sims = tally.of(&[Endpoint::Simulate]);
-    let completed = tally.latencies.len() as f64;
-    let p = |xs: &[f64], q: f64| quantile(xs, q).unwrap_or(f64::NAN);
+    let spec = Spec {
+        op: &[Endpoint::Compile, Endpoint::Check],
+        op_tail: 0.99,
+        aux: &[Endpoint::Simulate],
+        aux_tail: 0.9,
+        per_op: 1,
+    };
+    let raw = summarize(&tally, wall, &spec, setup_s, peak_rss_mb);
+    let (hits, sims) = (tally.of(spec.op), tally.of(spec.aux));
     let mut named = Named::default();
     named.push("setup_s", setup_s, "s", WARM_SETUPS);
     named.push("peak_rss_mb", peak_rss_mb, "MiB", 1);
@@ -314,53 +370,53 @@ pub fn run_warm(ctx: &crate::Ctx, seconds: f64) -> Result<Measured, String> {
         "ratio",
         tally.attempted as usize,
     );
-    named.push("warm_rps", completed / wall, "1/s", completed as usize);
-    named.push("warm_p50_us", p(&hits, 0.5), "us", hits.len());
-    named.push("warm_p99_us", p(&hits, 0.99), "us", hits.len());
-    named.push("warm_simulate_p50_us", p(&sims, 0.5), "us", sims.len());
+    named.push("warm_rps", raw.ops_per_s, "1/s", tally.latencies.len());
+    named.push("warm_p50_us", raw.op_p50_ms * 1e3, "us", hits.len());
+    named.push("warm_p99_us", raw.op_tail_ms * 1e3, "us", hits.len());
+    named.push(
+        "warm_simulate_p50_us",
+        raw.aux_p50_ms * 1e3,
+        "us",
+        sims.len(),
+    );
     Ok(Measured {
         attempted: tally.attempted,
         failed: tally.failed,
-        first_error: tally.first_error,
-        setup_s,
-        peak_rss_mb,
-        ops_per_s: completed / wall,
-        op_p50_ms: p(&hits, 0.5) / 1e3,
-        op_tail_ms: p(&hits, 0.99) / 1e3,
-        aux_p50_ms: p(&sims, 0.5) / 1e3,
-        aux_tail_ms: p(&sims, 0.9) / 1e3,
+        first_error: tally.first_error.clone(),
+        raw,
+        calibration,
         named,
         server_metrics: Some(server_metrics),
-        round_trip_us,
+        round_trip_us: median(&tally.of(&[Endpoint::Compile])),
     })
 }
 
 /// Sessions of the cold workload, handed out whole round by whole round:
-/// a round starts only before the deadline and always runs to its end, so
-/// every run measures the same balanced mix.
+/// a round starts only before the slice's deadline and always runs to its
+/// end, so every run measures the same balanced mix.
 struct SessionQueue<'a> {
     seed: u64,
     programs: &'a [Program],
-    deadline: Instant,
     state: Mutex<QueueState>,
 }
 
-#[derive(Default)]
 struct QueueState {
     next: usize,
-    stopped: bool,
+    deadline: Instant,
     round: Option<(usize, Arc<Vec<Session>>)>,
 }
 
 impl SessionQueue<'_> {
+    /// Let rounds start again until `deadline`.
+    fn resume(&self, deadline: Instant) {
+        self.state.lock().expect("session queue poisoned").deadline = deadline;
+    }
+
     fn claim(&self) -> Option<Session> {
         let round_len = workload::round_len(self.programs);
         let mut state = self.state.lock().expect("session queue poisoned");
         let i = state.next;
-        if state.stopped
-            || (i.is_multiple_of(round_len) && i > 0 && Instant::now() >= self.deadline)
-        {
-            state.stopped = true;
+        if i.is_multiple_of(round_len) && Instant::now() >= state.deadline {
             return None;
         }
         state.next += 1;
@@ -378,88 +434,60 @@ impl SessionQueue<'_> {
 /// tier; each `/compile` (with `.qc`) is followed by a `/check`.
 pub fn run_cold(ctx: &crate::Ctx, seconds: f64) -> Result<Measured, String> {
     let programs = workload::programs();
+    let mut calibration = Calibration::default();
+    calibration.sample();
     let (server, setup_s) = set_up(
         &ctx.out_dir,
         Some(COLD_CACHE_BYTES),
         COLD_SETUPS,
         |_| Ok(()),
     )?;
-    let started = Instant::now();
+    calibration.sample();
     let queue = SessionQueue {
         seed: ctx.seed,
         programs: &programs,
-        deadline: started + Duration::from_secs_f64(seconds),
-        state: Mutex::new(QueueState::default()),
+        state: Mutex::new(QueueState {
+            next: 0,
+            deadline: Instant::now(),
+            round: None,
+        }),
     };
-    let tallies: Vec<Tally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CONNECTIONS)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut tally = Tally::default();
-                    let mut client = Client::new(server.addr);
-                    while let Some(session) = queue.claim() {
-                        let program = &programs[session.program];
-                        let expected =
-                            match ctx
-                                .oracle
-                                .expected(&program.label, session.depth, session.spire)
-                            {
-                                Ok(e) => e,
-                                Err(e) => {
-                                    tally.attempted += 1;
-                                    tally.fail(e);
-                                    continue;
-                                }
-                            };
-                        for (endpoint, body) in [
-                            (Endpoint::Compile, session.compile_body()),
-                            (Endpoint::Check, session.check_body()),
-                        ] {
-                            tally.attempted += 1;
-                            let sent = Instant::now();
-                            let result = client.request("POST", endpoint.path(), &body);
-                            let us = sent.elapsed().as_secs_f64() * 1e6;
-                            let verdict = match result {
-                                Ok((200, payload)) => match endpoint {
-                                    Endpoint::Compile => {
-                                        oracle::check_compile(&payload, expected, true)
-                                    }
-                                    _ => oracle::check_check(&payload, expected),
-                                },
-                                Ok((status, _)) => Err(format!("answered {status}")),
-                                Err(e) => Err(e.to_string()),
-                            };
-                            match verdict {
-                                Ok(()) => tally.latencies.push((endpoint, us)),
-                                Err(e) => tally.fail(format!(
-                                    "{} {} depth {} ({}): {e}",
-                                    endpoint.path(),
-                                    program.label,
-                                    session.depth,
-                                    if session.spire { "spire" } else { "none" }
-                                )),
-                            }
+    let (tally, wall) = sliced(seconds, &mut calibration, |deadline| {
+        queue.resume(deadline);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..CONNECTIONS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut tally = Tally::default();
+                        let mut client = Client::new(server.addr);
+                        while let Some(session) = queue.claim() {
+                            cold_session(ctx, &programs, &session, &mut client, &mut tally);
                         }
-                    }
-                    tally
+                        tally
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client thread"))
+                .collect()
+        })
     });
-    let wall = started.elapsed().as_secs_f64();
-    let tally = Tally::merge(tallies);
     let peak_rss_mb = server.peak_rss_mb()?;
     let server_metrics = server.metrics()?;
     drop(server);
 
-    let compiles = tally.of(&[Endpoint::Compile]);
-    let checks = tally.of(&[Endpoint::Check]);
-    let sessions = compiles.len().min(checks.len());
-    let p = |xs: &[f64], q: f64| quantile(xs, q).unwrap_or(f64::NAN) / 1e3;
+    let spec = Spec {
+        op: &[Endpoint::Compile],
+        op_tail: 0.9,
+        aux: &[Endpoint::Check],
+        aux_tail: 0.9,
+        per_op: 2,
+    };
+    let raw = summarize(&tally, wall, &spec, setup_s, peak_rss_mb);
+    let compiles = tally.of(spec.op);
+    let checks = tally.of(spec.aux);
+    let sessions = tally.latencies.len() / 2;
     let mut named = Named::default();
     named.push("setup_s", setup_s, "s", COLD_SETUPS);
     named.push("peak_rss_mb", peak_rss_mb, "MiB", 1);
@@ -469,39 +497,69 @@ pub fn run_cold(ctx: &crate::Ctx, seconds: f64) -> Result<Measured, String> {
         "ratio",
         tally.attempted as usize,
     );
-    named.push(
-        "cold_sessions_per_s",
-        sessions as f64 / wall,
-        "1/s",
-        sessions,
-    );
-    named.push(
-        "cold_compile_p50_ms",
-        p(&compiles, 0.5),
-        "ms",
-        compiles.len(),
-    );
-    named.push(
-        "cold_compile_p90_ms",
-        p(&compiles, 0.9),
-        "ms",
-        compiles.len(),
-    );
-    named.push("cold_check_p50_ms", p(&checks, 0.5), "ms", checks.len());
-    named.push("cold_check_p90_ms", p(&checks, 0.9), "ms", checks.len());
+    named.push("cold_sessions_per_s", raw.ops_per_s, "1/s", sessions);
+    named.push("cold_compile_p50_ms", raw.op_p50_ms, "ms", compiles.len());
+    named.push("cold_compile_p90_ms", raw.op_tail_ms, "ms", compiles.len());
+    named.push("cold_check_p50_ms", raw.aux_p50_ms, "ms", checks.len());
+    named.push("cold_check_p90_ms", raw.aux_tail_ms, "ms", checks.len());
     Ok(Measured {
         attempted: tally.attempted,
         failed: tally.failed,
-        first_error: tally.first_error,
-        setup_s,
-        peak_rss_mb,
-        ops_per_s: sessions as f64 / wall,
-        op_p50_ms: p(&compiles, 0.5),
-        op_tail_ms: p(&compiles, 0.9),
-        aux_p50_ms: p(&checks, 0.5),
-        aux_tail_ms: p(&checks, 0.9),
+        first_error: tally.first_error.clone(),
+        raw,
+        calibration,
         named,
         server_metrics: Some(server_metrics),
         round_trip_us: median(&compiles),
     })
+}
+
+/// One cold session: `/compile` with `.qc`, then `/check`, each checked
+/// against the oracle.
+fn cold_session(
+    ctx: &crate::Ctx,
+    programs: &[Program],
+    session: &Session,
+    client: &mut Client,
+    tally: &mut Tally,
+) {
+    let program = &programs[session.program];
+    let expected = match ctx
+        .oracle
+        .expected(&program.label, session.depth, session.spire)
+    {
+        Ok(e) => e,
+        Err(e) => {
+            tally.attempted += 1;
+            tally.fail(e);
+            return;
+        }
+    };
+    for (endpoint, body) in [
+        (Endpoint::Compile, session.compile_body()),
+        (Endpoint::Check, session.check_body()),
+    ] {
+        tally.attempted += 1;
+        let sent = Instant::now();
+        let result = client.request("POST", endpoint.path(), &body);
+        let us = sent.elapsed().as_secs_f64() * 1e6;
+        let verdict = match result {
+            Ok((200, payload)) => match endpoint {
+                Endpoint::Compile => oracle::check_compile(&payload, expected, true),
+                _ => oracle::check_check(&payload, expected),
+            },
+            Ok((status, _)) => Err(format!("answered {status}")),
+            Err(e) => Err(e.to_string()),
+        };
+        match verdict {
+            Ok(()) => tally.latencies.push((endpoint, us)),
+            Err(e) => tally.fail(format!(
+                "{} {} depth {} ({}): {e}",
+                endpoint.path(),
+                program.label,
+                session.depth,
+                if session.spire { "spire" } else { "none" }
+            )),
+        }
+    }
 }
