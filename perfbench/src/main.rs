@@ -7,9 +7,10 @@
 //!
 //! Run from the repository root (it reads the committed `reports/` as its
 //! oracle and writes under `.bench_out/`). The last line of standard output
-//! is the result object; the line before it carries the issue-named
-//! metrics, sample counts and machine provenance. `serve` and `report-once`
-//! are the child processes the workloads spawn.
+//! is the result object; the line before it carries the per-workload
+//! metrics with sample counts, the raw values, the calibration samples and
+//! machine provenance. `serve` and `report-once` are the child processes
+//! the workloads spawn; `calibrate` prints one calibration sample.
 
 mod calib;
 mod client;
@@ -62,7 +63,7 @@ pub struct Ctx {
     pub oracle: Oracle,
 }
 
-/// Metrics under the names the issue tracker uses, with sample counts.
+/// Metrics under their per-workload names, with sample counts.
 #[derive(Debug, Default)]
 pub struct Named(Vec<(String, f64, &'static str, usize)>);
 
