@@ -47,6 +47,30 @@ fn decompose(circuit: &Circuit) -> Circuit {
     toffoli_to_clifford_t(&mcx_to_toffoli(circuit)).expect("mcx_to_toffoli leaves arity <= 2")
 }
 
+/// Alternate [`phase_fold`] and [`cancel_fixpoint`] (with `window`) until
+/// a round no longer shrinks the circuit, and return the smallest circuit.
+///
+/// A round whose cancellation removed nothing returns its output at once.
+/// Its output is then `phase_fold(current)`, and the next round would
+/// reproduce it exactly: `phase_fold` is idempotent gate for gate, so the
+/// refold returns the same circuit, and `cancel_fixpoint` is deterministic
+/// and already removed nothing from it. That round would find no
+/// shrinkage and return this same circuit, so skipping it changes no
+/// output gate.
+fn fold_cancel_fixpoint(mut current: Circuit, window: usize) -> Circuit {
+    loop {
+        let folded = phase_fold(&current);
+        let next = cancel_fixpoint(&folded, window);
+        if next.len() >= current.len() {
+            return current;
+        }
+        if next.len() == folded.len() {
+            return next;
+        }
+        current = next;
+    }
+}
+
 /// Qiskit-style adjacent-gate cancellation on the Clifford+T circuit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdjacentCancel;
@@ -125,6 +149,11 @@ impl CircuitOptimizer for ZxGraphLike {
 /// fixpoint. Better constants than the peepholes, still quadratic on
 /// control-flow circuits (the Hadamards inside decomposed Toffolis block
 /// the folding regions).
+///
+/// The fixpoint stops after a round whose cancellation removed nothing:
+/// [`phase_fold`] is idempotent gate for gate and cancellation is
+/// deterministic, so the round that used to follow reproduced that
+/// round's output exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CliffordTResynth;
 
@@ -138,14 +167,7 @@ impl CircuitOptimizer for CliffordTResynth {
     }
 
     fn optimize(&self, circuit: &Circuit) -> Circuit {
-        let mut current = decompose(circuit);
-        loop {
-            let next = cancel_fixpoint(&phase_fold(&current), 16);
-            if next.len() >= current.len() {
-                return current;
-            }
-            current = next;
-        }
+        fold_cancel_fixpoint(decompose(circuit), 16)
     }
 }
 
@@ -177,6 +199,11 @@ impl CircuitOptimizer for ToffoliCancel {
 /// Clifford+T level, iterated to a fixpoint. Finds the most structure and
 /// takes the most time (the paper reports QuiZX 14×–6500× slower than
 /// Feynman).
+///
+/// The Clifford+T fixpoint stops after a round whose cancellation removed
+/// nothing: [`phase_fold`] is idempotent gate for gate and cancellation is
+/// deterministic, so the round that used to follow reproduced that
+/// round's output exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GlobalResynth;
 
@@ -191,15 +218,9 @@ impl CircuitOptimizer for GlobalResynth {
 
     fn optimize(&self, circuit: &Circuit) -> Circuit {
         let toffoli_level = cancel_fixpoint(&mcx_to_toffoli(circuit), usize::MAX);
-        let mut current =
+        let clifford_t =
             toffoli_to_clifford_t(&toffoli_level).expect("arity <= 2 after mcx_to_toffoli");
-        loop {
-            let next = cancel_fixpoint(&phase_fold(&current), usize::MAX);
-            if next.len() >= current.len() {
-                return current;
-            }
-            current = next;
-        }
+        fold_cancel_fixpoint(clifford_t, usize::MAX)
     }
 }
 
@@ -322,6 +343,26 @@ mod tests {
                     "{} changed semantics on basis {basis}",
                     opt.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn two_gate_rotations_refold_to_themselves() {
+        // Amounts 3 (S·T) and 5 (Z·T) are the only merged rotations emitted
+        // as two gates; the early exit of `fold_cancel_fixpoint` needs them
+        // to refold to the same pair, with the anchor constant unset and
+        // set (a leading X).
+        for (amount, emitted) in [(3, [Gate::S(0), Gate::T(0)]), (5, [Gate::Z(0), Gate::T(0)])] {
+            for prefix in [vec![], vec![Gate::x(0)]] {
+                let mut raw = prefix.clone();
+                raw.extend((0..amount).map(|_| Gate::T(0)));
+                let folded = phase_fold(&Circuit::from_gates(raw));
+                let mut expected = prefix.clone();
+                expected.extend(emitted.iter().cloned());
+                let case = format!("amount {amount}, prefix {prefix:?}");
+                assert_eq!(folded.to_gates(), expected, "{case}");
+                assert_eq!(phase_fold(&folded), folded, "{case}");
             }
         }
     }

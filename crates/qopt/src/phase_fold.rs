@@ -16,45 +16,102 @@
 //! `-toCliffordT`-style pipeline stays asymptotically quadratic on the
 //! paper's benchmarks.
 //!
-//! The pass runs on the packed gate stream: the parity table is a dense
-//! vector indexed by qubit (region splitting — the fresh-label
-//! assignments on Hadamard/Toffoli boundaries — is an O(1) slot write,
-//! not a hash-map insert), non-phase gates are carried through as slot
-//! *indices* into the input circuit rather than cloned `Gate`s, and the
-//! output is rebuilt by pushing views. The only per-gate allocations
-//! left are the parity label vectors themselves, which are the pass's
-//! mathematical payload.
+//! The pass runs on the packed gate stream and allocates nothing per
+//! gate once its buffers are warm:
+//!
+//! * the parity table is dense, indexed by qubit: each qubit keeps its
+//!   sorted label vector, its constant, and a 64-bit Zobrist hash of the
+//!   label set (the XOR of one mixed value per label). A CNOT merges the
+//!   control's labels into the target's through one reused scratch buffer
+//!   swapped in place, and XORs the hashes; a Hadamard or Toffoli cut
+//!   rewrites the target's vector in place with one fresh label;
+//! * rotation terms are found through `TermIndex`: a map from a
+//!   parity's hash to its term, confirmed by comparing the exact labels
+//!   against a flat arena holding every term's key. Two different label
+//!   sets that share a hash fall back to an exact map keyed by the labels,
+//!   so no result ever depends on hash equality alone;
+//! * non-phase gates are carried through as slot *indices* into the input
+//!   circuit rather than cloned `Gate`s, and the output is rebuilt by
+//!   pushing views.
+//!
+//! The pass is idempotent gate for gate: refolding its output meets the
+//! same non-phase gates, hence the same parities, and each merged term's
+//! emitted rotation (one or two gates at its anchor) refolds to itself.
+//! The fold/cancel fixpoints in `passes.rs` rely on this.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use qcirc::{Circuit, Gate, GateKind, Qubit};
 
-/// An affine function of region inputs: an XOR of labels plus a constant.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Parity {
-    labels: Vec<u32>, // sorted, duplicate-free
-    constant: bool,
+/// The Zobrist value of one parity label: a SplitMix64 finalizer, so the
+/// XOR over a label set is uniformly spread even for consecutive labels.
+fn mix(label: u32) -> u64 {
+    let mut z = u64::from(label).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-impl Parity {
-    fn fresh(label: u32) -> Self {
-        Parity {
-            labels: vec![label],
-            constant: false,
+/// Every qubit's parity: an affine function of region inputs, the XOR of
+/// a label set plus a constant.
+struct ParityTable {
+    /// Per qubit: sorted, duplicate-free labels.
+    labels: Vec<Vec<u32>>,
+    /// Per qubit: XOR of `mix` over `labels`.
+    hashes: Vec<u64>,
+    /// Per qubit: the affine constant.
+    constants: Vec<bool>,
+    /// Merge buffer, swapped with a target's labels on every CNOT.
+    scratch: Vec<u32>,
+    next_label: u32,
+}
+
+impl ParityTable {
+    /// One fresh label per qubit.
+    fn new(n_qubits: usize) -> Self {
+        let mut table = ParityTable {
+            labels: vec![Vec::new(); n_qubits],
+            hashes: vec![0; n_qubits],
+            constants: vec![false; n_qubits],
+            scratch: Vec::new(),
+            next_label: 0,
+        };
+        for q in 0..n_qubits {
+            table.cut(q);
         }
+        table
     }
 
-    fn xor_with(&mut self, other: &Parity) {
-        let mut merged = Vec::with_capacity(self.labels.len() + other.labels.len());
+    /// Region split: `q` leaves the linear domain and gets a fresh label.
+    fn cut(&mut self, q: usize) {
+        let label = self.next_label;
+        self.next_label += 1;
+        self.labels[q].clear();
+        self.labels[q].push(label);
+        self.hashes[q] = mix(label);
+        self.constants[q] = false;
+    }
+
+    /// CNOT: the target's parity becomes target ⊕ control. A degenerate
+    /// control == target (constructible through the public `Gate::Mcx`
+    /// variant, though rejected by the gate constructors and the `.qc`
+    /// parser) xors the parity with itself, like the pre-refactor
+    /// table-based code did.
+    fn xor_into(&mut self, control: usize, target: usize) {
+        let merged = &mut self.scratch;
+        merged.clear();
+        let (a, b) = (&self.labels[target], &self.labels[control]);
         let (mut i, mut j) = (0, 0);
-        while i < self.labels.len() && j < other.labels.len() {
-            match self.labels[i].cmp(&other.labels[j]) {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => {
-                    merged.push(self.labels[i]);
+                    merged.push(a[i]);
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    merged.push(other.labels[j]);
+                    merged.push(b[j]);
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
@@ -63,10 +120,75 @@ impl Parity {
                 }
             }
         }
-        merged.extend_from_slice(&self.labels[i..]);
-        merged.extend_from_slice(&other.labels[j..]);
-        self.labels = merged;
-        self.constant ^= other.constant;
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
+        std::mem::swap(&mut self.labels[target], &mut self.scratch);
+        self.hashes[target] ^= self.hashes[control];
+        self.constants[target] ^= self.constants[control];
+    }
+}
+
+/// A [`Hasher`] for keys that are already uniformly mixed `u64`s: the
+/// parity hashes built from `mix`. A collision costs a lookup in the exact
+/// fallback map, never a wrong term.
+#[derive(Default)]
+struct PremixedHasher(u64);
+
+impl Hasher for PremixedHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("PremixedHasher only hashes u64 keys")
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// Interns parity label sets as term ids `0, 1, 2, …` in first-seen order.
+///
+/// Lookup goes by the caller's hash of the labels and is confirmed against
+/// the exact labels stored in `keys`; a set whose hash already belongs to a
+/// different set lives in the exact `collided` map instead.
+#[derive(Default)]
+struct TermIndex {
+    /// Hash → the first term interned under it.
+    by_hash: HashMap<u64, u32, BuildHasherDefault<PremixedHasher>>,
+    /// Every term's labels, back to back.
+    keys: Vec<u32>,
+    /// Term id → its `start..end` range in `keys`.
+    spans: Vec<(usize, usize)>,
+    /// Label sets whose hash collided with an earlier, different set.
+    collided: HashMap<Vec<u32>, u32>,
+}
+
+impl TermIndex {
+    /// The id of the term keyed by `labels`, and whether it was just
+    /// created. `hash` must be a function of `labels` alone.
+    fn intern(&mut self, hash: u64, labels: &[u32]) -> (u32, bool) {
+        let fresh = self.spans.len() as u32;
+        match self.by_hash.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(fresh);
+            }
+            Entry::Occupied(slot) => {
+                let (start, end) = self.spans[*slot.get() as usize];
+                if self.keys[start..end] == *labels {
+                    return (*slot.get(), false);
+                }
+                if let Some(&t) = self.collided.get(labels) {
+                    return (t, false);
+                }
+                self.collided.insert(labels.to_vec(), fresh);
+            }
+        }
+        let start = self.keys.len();
+        self.keys.extend_from_slice(labels);
+        self.spans.push((start, self.keys.len()));
+        (fresh, true)
     }
 }
 
@@ -95,55 +217,24 @@ struct Term {
 /// merging rotations on equal parities. Preserves the unitary up to global
 /// phase.
 pub fn phase_fold(circuit: &Circuit) -> Circuit {
-    let n_qubits = circuit.num_qubits() as usize;
-    let mut next_label = 0u32;
-    let mut parities: Vec<Parity> = (0..n_qubits)
-        .map(|_| {
-            let label = next_label;
-            next_label += 1;
-            Parity::fresh(label)
-        })
-        .collect();
-
+    let mut parities = ParityTable::new(circuit.num_qubits() as usize);
     let mut slots: Vec<Slot> = Vec::with_capacity(circuit.len());
     let mut terms: Vec<Term> = Vec::new();
-    let mut term_index: HashMap<Vec<u32>, u32> = HashMap::new();
+    let mut index = TermIndex::default();
 
     for (i, view) in circuit.iter().enumerate() {
+        let target = view.target as usize;
         match view.kind {
             GateKind::Mcx if view.controls.is_empty() => {
-                parities[view.target as usize].constant ^= true;
+                parities.constants[target] ^= true;
                 slots.push(Slot::Gate(i as u32));
             }
             GateKind::Mcx if view.controls.len() == 1 => {
-                let control = view.controls[0] as usize;
-                let target = view.target as usize;
-                // Split the table to xor one entry with another in place.
-                // A degenerate control == target (constructible through the
-                // public `Gate::Mcx` variant, though rejected by the gate
-                // constructors and the `.qc` parser) xors the parity with
-                // itself, like the pre-refactor table-based code did.
-                match control.cmp(&target) {
-                    std::cmp::Ordering::Less => {
-                        let (lo, hi) = parities.split_at_mut(target);
-                        hi[0].xor_with(&lo[control]);
-                    }
-                    std::cmp::Ordering::Greater => {
-                        let (lo, hi) = parities.split_at_mut(control);
-                        lo[target].xor_with(&hi[0]);
-                    }
-                    std::cmp::Ordering::Equal => {
-                        let source = parities[control].clone();
-                        parities[target].xor_with(&source);
-                    }
-                }
+                parities.xor_into(view.controls[0] as usize, target);
                 slots.push(Slot::Gate(i as u32));
             }
             GateKind::Mcx | GateKind::Mch => {
-                // Region split: the target leaves the linear domain and
-                // gets a fresh parity label.
-                parities[view.target as usize] = Parity::fresh(next_label);
-                next_label += 1;
+                parities.cut(target);
                 slots.push(Slot::Gate(i as u32));
             }
             phase => {
@@ -155,25 +246,21 @@ pub fn phase_fold(circuit: &Circuit) -> Circuit {
                     GateKind::Tdg => 7,
                     _ => unreachable!("Mcx/Mch handled above"),
                 };
-                let parity = &parities[view.target as usize];
+                let constant = parities.constants[target];
                 // Rotation on (c ⊕ x_L) contributes ±amount to the x_L
                 // coefficient (the sign flip absorbs a global phase).
-                let signed = if parity.constant { -amount } else { amount };
-                match term_index.get(&parity.labels) {
-                    Some(&t) => {
-                        let term = &mut terms[t as usize];
-                        term.amount = (term.amount + signed).rem_euclid(8);
-                    }
-                    None => {
-                        let t = terms.len() as u32;
-                        slots.push(Slot::Anchor(t));
-                        terms.push(Term {
-                            amount: signed.rem_euclid(8),
-                            qubit: view.target,
-                            anchor_constant: parity.constant,
-                        });
-                        term_index.insert(parity.labels.clone(), t);
-                    }
+                let signed = if constant { -amount } else { amount };
+                let (t, fresh) = index.intern(parities.hashes[target], &parities.labels[target]);
+                if fresh {
+                    slots.push(Slot::Anchor(t));
+                    terms.push(Term {
+                        amount: signed.rem_euclid(8),
+                        qubit: view.target,
+                        anchor_constant: constant,
+                    });
+                } else {
+                    let term = &mut terms[t as usize];
+                    term.amount = (term.amount + signed).rem_euclid(8);
                 }
             }
         }
@@ -243,6 +330,39 @@ mod tests {
                 s1.fidelity(&s2)
             );
         }
+    }
+
+    #[test]
+    fn term_index_resolves_hash_collisions_exactly() {
+        // One forced hash for every set: only the exact label comparison
+        // and the collision map can tell them apart.
+        let mut index = TermIndex::default();
+        let (a, b, c) = (&[1, 2][..], &[3][..], &[1, 2, 3][..]);
+        assert_eq!(index.intern(7, a), (0, true));
+        assert_eq!(index.intern(7, b), (1, true));
+        assert_eq!(index.intern(7, a), (0, false));
+        assert_eq!(index.intern(7, b), (1, false));
+        assert_eq!(index.intern(7, c), (2, true));
+        assert_eq!(index.intern(7, c), (2, false));
+        assert_eq!(index.intern(9, &[]), (3, true));
+        assert_eq!(index.intern(9, &[]), (3, false));
+        assert_eq!(index.keys, [1, 2, 3, 1, 2, 3]);
+    }
+
+    #[test]
+    fn parity_hash_tracks_label_set() {
+        let mut table = ParityTable::new(3);
+        table.xor_into(0, 1);
+        table.xor_into(2, 1);
+        table.xor_into(0, 1);
+        assert_eq!(table.labels[1], [1, 2]);
+        assert_eq!(table.hashes[1], mix(1) ^ mix(2));
+        table.cut(1);
+        assert_eq!(table.labels[1], [3]);
+        assert_eq!(table.hashes[1], mix(3));
+        table.xor_into(1, 1);
+        assert!(table.labels[1].is_empty());
+        assert_eq!(table.hashes[1], 0);
     }
 
     #[test]

@@ -430,6 +430,56 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Phase folding is idempotent gate for gate: the premise of the
+    /// early exit in the fold/cancel fixpoints of `CliffordTResynth` and
+    /// `GlobalResynth`.
+    #[test]
+    fn phase_fold_is_idempotent(
+        seed in 0u64..5000,
+        qubits in prop_oneof![Just(3u32), Just(6), Just(80)],
+    ) {
+        for circuit in [
+            reference_decompose(&compiled_circuit(seed)),
+            pseudo_random_circuit(seed, 120, qubits),
+        ] {
+            let once = qopt::phase_fold(&circuit);
+            prop_assert_eq!(&qopt::phase_fold(&once), &once);
+        }
+    }
+}
+
+/// The fold/cancel pipelines match the pre-refactor reference on Figure
+/// 12's own input, unoptimized `length` (here at depth 2), whose
+/// circuits are larger and more regular than the generated programs'.
+#[test]
+fn resynth_pipelines_match_reference_on_length() {
+    use spire_repro::bench_suite::programs::LENGTH;
+    use spire_repro::spire::{compile_source, CompileOptions};
+    use spire_repro::tower::WordConfig;
+
+    let circuit = compile_source(
+        LENGTH,
+        "length",
+        2,
+        WordConfig::paper_default(),
+        &CompileOptions::baseline(),
+    )
+    .expect("length compiles")
+    .emit();
+    let passes: [&dyn qopt::CircuitOptimizer; 2] = [&qopt::CliffordTResynth, &qopt::GlobalResynth];
+    for optimizer in passes {
+        assert_eq!(
+            optimizer.optimize(&circuit),
+            reference_optimize(optimizer.name(), &circuit),
+            "{} diverges from the pre-refactor pipeline",
+            optimizer.name()
+        );
+    }
+}
+
+proptest! {
     // Full pipelines run every pass to fixpoints; fewer, heavier cases.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
