@@ -84,7 +84,6 @@ mod tests {
     use super::*;
     use crate::passes::{registry, AdjacentCancel};
     use qcirc::Circuit;
-    use std::sync::Arc;
 
     fn toy() -> Circuit {
         let mut c = Circuit::new(2);
@@ -105,8 +104,7 @@ mod tests {
 
     #[test]
     fn run_traced_records_delta_attrs_under_a_trace() {
-        let ring = Arc::new(spire_trace::SpanRing::new(64));
-        spire_trace::install(spire_trace::TraceCtx::new(Arc::clone(&ring), 1, true));
+        spire_trace::install(spire_trace::TraceCtx::new(1, true));
         let out = run_traced(&AdjacentCancel, &toy());
         let ctx = spire_trace::take().expect("trace installed");
         let records = ctx.records();

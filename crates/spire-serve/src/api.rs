@@ -185,8 +185,8 @@ fn run(endpoint: impl FnOnce() -> Result<Json, ApiError>) -> Response {
 /// are still open at this point (the handler is *producing* this very
 /// response), so in-progress records are synthesized for them — their
 /// end timestamps read "so far", and the authoritative closed spans
-/// land in the ring (and the slow log) when the response flush
-/// completes.
+/// are recorded in the trace (and offered to the slow log) when the
+/// response flush completes.
 fn attach_inline_trace(body: Json) -> Json {
     let Json::Object(mut fields) = body else {
         return body;

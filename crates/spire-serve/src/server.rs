@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use qcirc::json::Json;
 use spire::{DiskStore, FaultSchedule, SingleFlightCache};
-use spire_trace::{derive_seed, AttrValue, SpanRing, TraceCtx};
+use spire_trace::{derive_seed, AttrValue, TraceCtx};
 
 use crate::breaker::{CircuitBreaker, DEFAULT_COOLDOWN, DEFAULT_THRESHOLD};
 use crate::conn::{Conn, ConnState, PendingTrace, Token};
@@ -131,11 +131,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
-/// Span-ring capacity: at ~22 machine words per slot this is a fixed
-/// ~720 KiB, enough for hundreds of concurrent traced requests before
-/// the oldest spans are overwritten.
-const TRACE_RING_SLOTS: usize = 4096;
 
 /// Default [`ServerConfig::slow_log`] depth.
 const DEFAULT_SLOW_LOG: usize = 16;
@@ -279,8 +274,6 @@ pub struct AppState {
     reports: Mutex<BoundedJsonMap>,
     /// The persistent content-addressed artifact store, when enabled.
     disk: Option<DiskStore>,
-    /// The span ring every trace of this server publishes into.
-    ring: Arc<SpanRing>,
     /// The N slowest traced requests, behind `GET /debug/slow`.
     slow: SlowLog,
     /// Base seed for per-trace ID generators.
@@ -296,19 +289,7 @@ pub struct AppState {
 impl AppState {
     /// Fresh state (empty cache, zeroed metrics, no persistence).
     pub fn new() -> Self {
-        AppState {
-            compiler: SingleFlightCache::new(),
-            metrics: Metrics::new(),
-            breaker: CircuitBreaker::with_defaults(),
-            artifacts: Mutex::new(BoundedJsonMap::new(0)),
-            reports: Mutex::new(BoundedJsonMap::new(0)),
-            disk: None,
-            ring: Arc::new(SpanRing::new(TRACE_RING_SLOTS)),
-            slow: SlowLog::new(DEFAULT_SLOW_LOG),
-            trace_seed: DEFAULT_TRACE_SEED,
-            trace_sample: 0,
-            trace_seq: AtomicU64::new(0),
-        }
+        AppState::from_config(&ServerConfig::default()).expect("no cache dir, nothing to open")
     }
 
     /// State backed by a persistent artifact store in `dir` (created if
@@ -360,17 +341,11 @@ impl AppState {
             artifacts: Mutex::new(BoundedJsonMap::new(memo_budget)),
             reports: Mutex::new(BoundedJsonMap::new(memo_budget)),
             disk,
-            ring: Arc::new(SpanRing::new(TRACE_RING_SLOTS)),
             slow: SlowLog::new(config.slow_log),
             trace_seed: config.trace_seed,
             trace_sample: config.trace_sample,
             trace_seq: AtomicU64::new(0),
         })
-    }
-
-    /// The span ring traces publish into.
-    pub fn trace_ring(&self) -> &Arc<SpanRing> {
-        &self.ring
     }
 
     /// The slow-request log.
@@ -394,12 +369,7 @@ impl AppState {
             return None;
         }
         let seed = derive_seed(self.trace_seed, seq);
-        Some(TraceCtx::with_epoch(
-            Arc::clone(&self.ring),
-            seed,
-            explicit,
-            epoch,
-        ))
+        Some(TraceCtx::with_epoch(seed, explicit, epoch))
     }
 
     /// The persistent artifact store, when configured.
@@ -1007,7 +977,7 @@ impl EventLoop {
             path: pending.path,
             status: pending.status,
             duration_ns: end_ns,
-            records: pending.ctx.records(),
+            records: pending.ctx.into_records(),
         });
     }
 

@@ -11,6 +11,7 @@
 //!   time;
 //! * two servers booted with the same trace seed produce byte-identical
 //!   span trees (after timing normalization) for the same request;
+//! * concurrent traced requests each get back only their own spans;
 //! * untraced requests carry no trace field and no trace header;
 //! * sampled traces (`trace_sample`) tag the response header but never
 //!   change the body, and land in `/debug/slow` in both JSON and Chrome
@@ -228,6 +229,57 @@ fn same_seed_gives_byte_identical_normalized_traces() {
     })
     .expect("server c");
     assert_ne!(trace_of(&a), trace_of(&c));
+}
+
+#[test]
+fn concurrent_traces_each_hold_only_their_own_spans() {
+    let front_and_spire: Vec<&str> =
+        "parse inline lower typecheck optimize recheck expand layout select"
+            .split(' ')
+            .collect();
+    let server = Server::start(ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    // Distinct depths miss the cache independently, so every request
+    // runs the whole pipeline while the others are in flight.
+    let responses: Vec<_> = std::thread::scope(|scope| {
+        let server = &server;
+        let clients: Vec<_> = (2..10)
+            .map(|depth| {
+                let body = compile_body(depth);
+                scope.spawn(move || request_full(server, "POST", "/compile?trace=1", Some(&body)))
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for (status, headers, body) in &responses {
+        assert_eq!(*status, 200, "body: {body}");
+        let trace = body.get("trace").expect("trace field on ?trace=1");
+        assert_eq!(
+            trace.get("trace_id").and_then(Json::as_str),
+            header(headers, "x-spire-trace-id"),
+            "the tree's spans belong to the trace the header names"
+        );
+        // One `request` root holding each front-end and spire stage
+        // once: a span leaked from a concurrent trace would add a root
+        // or a second copy of a stage.
+        let Some(Json::Array(roots)) = trace.get("spans") else {
+            panic!("spans array");
+        };
+        assert_eq!(roots.len(), 1, "exactly one root: {trace}");
+        let mut seen = Vec::new();
+        stages(&roots[0], &mut seen);
+        assert_eq!(seen[0], "request");
+        let pipeline: Vec<&str> = seen
+            .iter()
+            .map(String::as_str)
+            .filter(|s| front_and_spire.contains(s))
+            .collect();
+        assert_eq!(pipeline, front_and_spire, "in {seen:?}");
+        assert!(seen.iter().any(|s| s == "emit"), "no `emit`: {seen:?}");
+    }
 }
 
 #[test]

@@ -9,19 +9,20 @@
 //! nothing.
 
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
 use std::time::Instant;
 
-use crate::ring::SpanRing;
-use crate::{Attr, AttrValue, FixedStr, IdGen, SpanRecord, MAX_ATTRS};
+use crate::{AttrValue, IdGen, SpanRecord, MAX_SPANS};
 
 thread_local! {
     static CURRENT: RefCell<Option<TraceCtx>> = const { RefCell::new(None) };
 }
 
 /// The per-request tracing context: trace ID, deterministic span-ID
-/// stream, the epoch all span timestamps are relative to, and the ring
-/// finished spans are published into.
+/// stream, the epoch all span timestamps are relative to, and the
+/// buffer of this trace's finished spans.
+///
+/// The buffer needs no lock: a context is never shared, only moved
+/// (event loop → worker → event loop), and it is `Send` but not `Sync`.
 ///
 /// The context carries a pre-allocated root span ID ([`TraceCtx::root_id`]);
 /// phase spans recorded before/after the handler runs (read/parse, queue,
@@ -34,20 +35,20 @@ pub struct TraceCtx {
     ids: IdGen,
     explicit: bool,
     epoch: Instant,
-    ring: Arc<SpanRing>,
+    spans: RefCell<Vec<SpanRecord>>,
     parent: Cell<u64>,
 }
 
 impl TraceCtx {
     /// Creates a context whose epoch is "now".
-    pub fn new(ring: Arc<SpanRing>, seed: u64, explicit: bool) -> TraceCtx {
-        TraceCtx::with_epoch(ring, seed, explicit, Instant::now())
+    pub fn new(seed: u64, explicit: bool) -> TraceCtx {
+        TraceCtx::with_epoch(seed, explicit, Instant::now())
     }
 
     /// Creates a context with an explicit epoch (e.g. the instant the
     /// first request byte arrived), so spans recorded from different
     /// threads share a time base.
-    pub fn with_epoch(ring: Arc<SpanRing>, seed: u64, explicit: bool, epoch: Instant) -> TraceCtx {
+    pub fn with_epoch(seed: u64, explicit: bool, epoch: Instant) -> TraceCtx {
         let ids = IdGen::new(seed);
         let trace_id = ids.next_id();
         let root_id = ids.next_id();
@@ -57,7 +58,7 @@ impl TraceCtx {
             ids,
             explicit,
             epoch,
-            ring,
+            spans: RefCell::new(Vec::new()),
             parent: Cell::new(root_id),
         }
     }
@@ -84,9 +85,12 @@ impl TraceCtx {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// The ring this trace publishes into.
-    pub fn ring(&self) -> &Arc<SpanRing> {
-        &self.ring
+    /// Keeps a finished stage or phase span unless the buffer is full.
+    fn push(&self, rec: SpanRecord) {
+        let mut spans = self.spans.borrow_mut();
+        if spans.len() < MAX_SPANS {
+            spans.push(rec);
+        }
     }
 
     /// Records an already-timed span under the root (used by the event
@@ -111,24 +115,37 @@ impl TraceCtx {
         for (key, value) in attrs {
             rec.push_attr(key, *value);
         }
-        self.ring.record(&rec);
+        self.push(rec);
         span_id
     }
 
     /// Writes the `request` root record spanning the whole request, from
-    /// epoch (first byte) to `end_ns`.
+    /// epoch (first byte) to `end_ns`. The root is kept even when the
+    /// buffer is full.
     pub fn record_root(&self, end_ns: u64, attrs: &[(&str, AttrValue)]) {
         let mut rec = SpanRecord::new(self.trace_id, self.root_id, 0, "request", 0, end_ns);
         for (key, value) in attrs {
             rec.push_attr(key, *value);
         }
-        self.ring.record(&rec);
+        self.spans.borrow_mut().push(rec);
     }
 
-    /// Every span of this trace currently visible in the ring, sorted.
+    /// Every span recorded so far, sorted by `(start_ns, span_id)` so the
+    /// order is deterministic even for zero-length spans.
     pub fn records(&self) -> Vec<SpanRecord> {
-        self.ring.for_trace(self.trace_id)
+        sorted(self.spans.borrow().clone())
     }
+
+    /// Consumes the context and returns its spans in [`TraceCtx::records`]
+    /// order, without copying them.
+    pub fn into_records(self) -> Vec<SpanRecord> {
+        sorted(self.spans.into_inner())
+    }
+}
+
+fn sorted(mut records: Vec<SpanRecord>) -> Vec<SpanRecord> {
+    records.sort_by_key(|r| (r.start_ns, r.span_id));
+    records
 }
 
 /// Installs `ctx` as the current trace for this thread, replacing (and
@@ -192,20 +209,11 @@ pub fn active_records() -> Option<(u64, Vec<SpanRecord>)> {
     })
 }
 
-struct LiveSpan {
-    span_id: u64,
-    parent_id: u64,
-    start_ns: u64,
-    stage: &'static str,
-    attrs: [Attr; MAX_ATTRS],
-    attr_count: u8,
-}
-
-/// An RAII stage span. Created by [`span`]; the span is recorded into
-/// the ring when the guard drops. Inert (a no-op) when no trace is
-/// installed on the thread.
+/// An RAII stage span. Created by [`span`]; the span is pushed into the
+/// current trace's buffer when the guard drops. Inert (a no-op) when no
+/// trace is installed on the thread.
 pub struct SpanGuard {
-    live: Option<LiveSpan>,
+    live: Option<SpanRecord>,
 }
 
 impl SpanGuard {
@@ -216,31 +224,22 @@ impl SpanGuard {
 
     /// Attaches a numeric attribute (gate count, byte count, …).
     pub fn attr(&mut self, key: &'static str, value: u64) {
-        self.push(key, AttrValue::U64(value));
+        if let Some(live) = self.live.as_mut() {
+            live.push_attr(key, AttrValue::U64(value));
+        }
     }
 
     /// Attaches a short label attribute (cache tier, flight role, …).
     pub fn attr_label(&mut self, key: &'static str, value: &str) {
-        self.push(key, crate::label(value));
-    }
-
-    fn push(&mut self, key: &'static str, value: AttrValue) {
         if let Some(live) = self.live.as_mut() {
-            let n = usize::from(live.attr_count);
-            if n < MAX_ATTRS {
-                live.attrs[n] = Attr {
-                    key: FixedStr::new(key),
-                    value,
-                };
-                live.attr_count += 1;
-            }
+            live.push_attr(key, crate::label(value));
         }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(live) = self.live.take() else {
+        let Some(mut rec) = self.live.take() else {
             return;
         };
         CURRENT.with(|current| {
@@ -251,19 +250,9 @@ impl Drop for SpanGuard {
                 // strictly inside the install/take window by callers.
                 return;
             };
-            ctx.parent.set(live.parent_id);
-            let mut rec = SpanRecord::new(
-                ctx.trace_id,
-                live.span_id,
-                live.parent_id,
-                live.stage,
-                live.start_ns,
-                ctx.now_ns(),
-            );
-            for i in 0..usize::from(live.attr_count) {
-                rec.push_attr(live.attrs[i].key(), live.attrs[i].value());
-            }
-            ctx.ring.record(&rec);
+            ctx.parent.set(rec.parent_id);
+            rec.end_ns = ctx.now_ns();
+            ctx.push(rec);
         });
     }
 }
@@ -280,18 +269,16 @@ pub fn span(stage: &'static str) -> SpanGuard {
         };
         let span_id = ctx.ids.next_id();
         let parent_id = ctx.parent.replace(span_id);
+        let start_ns = ctx.now_ns();
         SpanGuard {
-            live: Some(LiveSpan {
+            live: Some(SpanRecord::new(
+                ctx.trace_id,
                 span_id,
                 parent_id,
-                start_ns: ctx.now_ns(),
                 stage,
-                attrs: [Attr {
-                    key: FixedStr::default(),
-                    value: AttrValue::U64(0),
-                }; MAX_ATTRS],
-                attr_count: 0,
-            }),
+                start_ns,
+                start_ns,
+            )),
         }
     })
 }
@@ -301,7 +288,7 @@ mod tests {
     use super::*;
 
     fn ctx(seed: u64) -> TraceCtx {
-        TraceCtx::new(Arc::new(SpanRing::new(64)), seed, true)
+        TraceCtx::new(seed, true)
     }
 
     #[test]
@@ -384,5 +371,57 @@ mod tests {
         let ids_a: Vec<u64> = a.records().iter().map(|r| r.span_id).collect();
         let ids_b: Vec<u64> = b.records().iter().map(|r| r.span_id).collect();
         assert_eq!(ids_a, ids_b);
+    }
+
+    #[test]
+    fn concurrent_contexts_keep_only_their_own_spans_in_order() {
+        const SPANS: usize = 32;
+        let barrier = std::sync::Barrier::new(2);
+        let traces = std::thread::scope(|scope| {
+            let barrier = &barrier;
+            [3, 4]
+                .map(|seed| {
+                    scope.spawn(move || {
+                        let trace = ctx(seed);
+                        // Recorded out of start order; records() sorts.
+                        trace.record_phase("late", u64::MAX / 2, u64::MAX / 2, &[]);
+                        trace.record_phase("early", 0, 1, &[]);
+                        install(trace);
+                        for _ in 0..SPANS {
+                            barrier.wait();
+                            let _span = span("stage");
+                        }
+                        take().expect("installed")
+                    })
+                })
+                .map(|worker| worker.join().unwrap())
+        });
+        assert_ne!(traces[0].trace_id(), traces[1].trace_id());
+        for trace in &traces {
+            let records = trace.records();
+            assert_eq!(records.len(), SPANS + 2);
+            assert!(records.iter().all(|r| r.trace_id == trace.trace_id()));
+            assert!(records
+                .windows(2)
+                .all(|w| (w[0].start_ns, w[0].span_id) < (w[1].start_ns, w[1].span_id)));
+            assert_eq!(records[0].stage(), "early");
+            assert_eq!(records[SPANS + 1].stage(), "late");
+        }
+    }
+
+    #[test]
+    fn buffer_caps_stage_spans_but_keeps_the_root() {
+        let trace = ctx(9);
+        for i in 0..MAX_SPANS as u64 + 5 {
+            trace.record_phase("stage", i, i + 1, &[]);
+        }
+        trace.record_root(u64::MAX, &[]);
+        let records = trace.records();
+        let stages = records.iter().filter(|r| r.stage() == "stage").count();
+        assert_eq!(stages, MAX_SPANS);
+        assert!(records
+            .iter()
+            .any(|r| r.stage() == "request" && r.span_id == trace.root_id()));
+        assert_eq!(trace.into_records(), records);
     }
 }

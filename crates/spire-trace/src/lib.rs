@@ -1,16 +1,18 @@
 //! Dependency-free structured tracing and profiling for the Spire stack.
 //!
-//! The crate provides the four pieces every layer shares:
+//! The crate provides what every layer shares:
 //!
 //! * **Span records** ([`SpanRecord`]) — trace ID, span ID, parent link,
 //!   monotonic start/end nanoseconds, a short static stage name, and a
 //!   small typed attribute set (gate counts, cache-tier labels, …). All
 //!   strings are stored inline in fixed-size buffers so a record is
 //!   `Copy` and never allocates.
-//! * **A wait-free ring** ([`SpanRing`]) — finished spans are published
-//!   into a fixed-size lock-free ring buffer of seqlock slots. Writers
-//!   never block and never allocate; readers take best-effort snapshots
-//!   and discard torn slots.
+//! * **A per-trace span buffer** — each [`TraceCtx`] owns the finished
+//!   spans of its request, at most [`MAX_SPANS`] of them plus the
+//!   `request` root. Reading a trace costs O(its spans), never a scan
+//!   of other requests' spans. The buffer needs no lock: a context is
+//!   `Send` but not `Sync`, so it is only ever used by the one thread
+//!   it was last moved to.
 //! * **Seeded IDs** ([`IdGen`]) — trace and span IDs come from a
 //!   SplitMix64 stream, so a server booted with a fixed seed produces
 //!   byte-identical (time-normalized) span trees for identical requests
@@ -37,7 +39,6 @@ use std::cell::Cell;
 
 mod ambient;
 mod chrome;
-mod ring;
 mod tree;
 
 pub use ambient::{
@@ -45,9 +46,11 @@ pub use ambient::{
     ambient_parent, install, is_active, span, take, SpanGuard, TraceCtx,
 };
 pub use chrome::{chrome_trace_json, ChromeGroup};
-pub use ring::SpanRing;
 pub use tree::{build_tree, SpanNode, SpanTree};
 
+/// Maximum number of stage and phase spans one trace keeps; extra spans
+/// are silently dropped (the `request` root is always kept).
+pub const MAX_SPANS: usize = 4096;
 /// Maximum number of attributes a span can carry; extra attributes are
 /// silently dropped.
 pub const MAX_ATTRS: usize = 4;
