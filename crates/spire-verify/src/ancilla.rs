@@ -34,10 +34,23 @@
 //! back to |0⟩ (and before any recompute) is flagged as
 //! `verify/use-after-uncompute`: such a control provably reads |0⟩, so the
 //! gate is dead — always a compiler bug in this pipeline.
+//!
+//! The analysis is a [`GateSink`], so it runs over any gate stream without
+//! materializing it: [`check_ancillas`] replays a circuit, and
+//! [`check_decomposition_ancillas`] replays the Toffoli level the Barenco
+//! decomposition would produce, gate by gate. Each qubit's XOR-set is kept
+//! sorted together with a 64-bit XOR of its terms' hashes, so an update
+//! costs a merge proportional to the sets involved (a single product term
+//! is a binary-search insert or remove in place) plus an O(1) hash update.
+//! A value is interned only when it becomes a factor of a product term,
+//! looked up by that hash and confirmed against the stored set, so a hash
+//! collision can never identify two different values.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use qcirc::{Circuit, GateKind, Qubit};
+use qcirc::decompose::{ancillas_needed, emit_toffoli_level_view};
+use qcirc::{Circuit, Gate, GateKind, GateSink, GateView, Qubit};
 
 use crate::codes;
 use crate::diag::Diagnostic;
@@ -47,71 +60,136 @@ use crate::diag::Diagnostic;
 /// below this; only adversarial streams hit it.
 const TERM_CAP: usize = 1 << 14;
 
-/// Identifier of an interned term.
+/// Identifier of an interned term: the constant 1, then one leaf per
+/// qubit, then products in order of first appearance.
 type TermId = u32;
 /// Identifier of an interned value (a sorted XOR-set of terms).
 type ValueId = u32;
 
-/// A hash-consed term: structural equality is id equality.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Term {
-    /// The constant 1 (introduced by uncontrolled X gates).
-    One,
-    /// The initial value of a (non-ancilla) qubit.
-    Leaf(Qubit),
-    /// A product of control values, by interned value id (sorted, deduped).
-    Product(Vec<ValueId>),
+/// The constant-1 term (introduced by uncontrolled X gates).
+const ONE: TermId = 0;
+/// Marks a qubit whose current value has not been interned.
+const NO_VALUE: ValueId = ValueId::MAX;
+
+/// The splitmix64 finalizer: a cheap bijective mix of 64-bit words.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
+/// Hash of one term; a set's hash is the XOR of its terms' hashes, so
+/// toggling a term or merging a set updates it in O(1).
+fn term_hash(term: TermId) -> u64 {
+    mix(u64::from(term).wrapping_add(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Hasher for keys that are already well-mixed 64-bit hashes.
 #[derive(Debug, Default)]
-struct Interner {
-    terms: Vec<Term>,
-    term_ids: HashMap<Term, TermId>,
-    value_ids: HashMap<Vec<TermId>, ValueId>,
-    next_value: ValueId,
-}
+struct PremixedHasher(u64);
 
-impl Interner {
-    fn term(&mut self, t: Term) -> TermId {
-        if let Some(&id) = self.term_ids.get(&t) {
-            return id;
-        }
-        let id = self.terms.len() as TermId;
-        self.terms.push(t.clone());
-        self.term_ids.insert(t, id);
-        id
+impl Hasher for PremixedHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
-    /// Intern an XOR-set (must be sorted and duplicate-free).
-    fn value(&mut self, set: &[TermId]) -> ValueId {
-        if let Some(&id) = self.value_ids.get(set) {
-            return id;
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix(self.0 ^ u64::from(b));
         }
-        let id = self.next_value;
-        self.next_value += 1;
-        self.value_ids.insert(set.to_vec(), id);
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+const NO_ENTRY: u32 = u32::MAX;
+
+/// Hash-consing of sorted `u32` slices: equal slices get equal ids. Keys
+/// live back to back in one buffer; entries with the same hash are chained
+/// and compared exactly.
+#[derive(Debug, Default)]
+struct SliceInterner {
+    items: Vec<u32>,
+    /// End offset in `items` of each entry.
+    ends: Vec<usize>,
+    /// Previous entry with the same hash, or `NO_ENTRY`.
+    chain: Vec<u32>,
+    heads: HashMap<u64, u32, BuildHasherDefault<PremixedHasher>>,
+}
+
+impl SliceInterner {
+    fn get(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.items[start..self.ends[id]]
+    }
+
+    fn intern(&mut self, hash: u64, key: &[u32]) -> u32 {
+        let head = self.heads.get(&hash).copied().unwrap_or(NO_ENTRY);
+        let mut id = head;
+        while id != NO_ENTRY {
+            if self.get(id) == key {
+                return id;
+            }
+            id = self.chain[id as usize];
+        }
+        let id = self.ends.len() as u32;
+        self.items.extend_from_slice(key);
+        self.ends.push(self.items.len());
+        self.chain.push(head);
+        self.heads.insert(hash, id);
         id
     }
 }
 
 /// Abstract value of one qubit: a sorted XOR-set of term ids, or ⊤.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum AbsVal {
-    /// XOR of the listed terms; the empty set is the constant 0.
-    Set(Vec<TermId>),
+#[derive(Debug, Clone)]
+struct QubitValue {
+    /// XOR of the listed terms; the empty set is the constant 0. Empty
+    /// while `top`.
+    terms: Vec<TermId>,
+    /// XOR of `term_hash` over `terms`.
+    hash: u64,
     /// Unknown (behind a Hadamard frontier or past the term cap).
-    Top,
+    top: bool,
+    /// Interned id of `terms`, or `NO_VALUE`; every write clears it.
+    value: ValueId,
 }
 
-impl AbsVal {
+impl QubitValue {
+    fn set(terms: Vec<TermId>) -> QubitValue {
+        let hash = terms.iter().fold(0, |h, &t| h ^ term_hash(t));
+        QubitValue {
+            terms,
+            hash,
+            top: false,
+            value: NO_VALUE,
+        }
+    }
+
+    /// Give up on this qubit: ⊤.
+    fn widen(&mut self) {
+        self.top = true;
+        self.terms.clear();
+        self.hash = 0;
+        self.value = NO_VALUE;
+    }
+
     fn is_zero(&self) -> bool {
-        matches!(self, AbsVal::Set(s) if s.is_empty())
+        !self.top && self.terms.is_empty()
+    }
+
+    fn is_one(&self) -> bool {
+        !self.top && self.terms == [ONE]
     }
 }
 
-/// XOR two sorted term sets (symmetric difference, stays sorted).
-fn xor_sets(a: &[TermId], b: &[TermId]) -> Vec<TermId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+/// XOR two sorted term sets (symmetric difference, stays sorted) into `out`.
+fn xor_sets_into(a: &[TermId], b: &[TermId], out: &mut Vec<TermId>) {
+    out.clear();
+    out.reserve(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -131,7 +209,6 @@ fn xor_sets(a: &[TermId], b: &[TermId]) -> Vec<TermId> {
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// Which qubits of a circuit are ancillae, and what to call them in
@@ -175,63 +252,116 @@ enum Phase {
     Released,
 }
 
-/// Run the ancilla-discipline analysis over a gate stream.
-///
-/// Every qubit listed in `spec` starts as the constant-0 value; every other
-/// qubit starts as an opaque initial-value term. Works at any gate level
-/// (MCX streams and Toffoli/Clifford+T streams alike) and at any width —
-/// the term domain has no 64-qubit limit, unlike the simulators.
-pub fn check_ancillas(circuit: &Circuit, spec: &AncillaSpec) -> Vec<Diagnostic> {
-    // A corrupted operand arena makes the gate views themselves
-    // unreadable; the well-formedness audit owns that finding, and this
-    // analysis must not iterate a stream it cannot trust.
-    if !circuit.audit_raw().is_empty() {
-        return Vec::new();
-    }
-    let n = circuit.num_qubits() as usize;
+/// Which replay of the stream the analysis is consuming.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Record the last gate index that writes each qubit.
+    LastWrite,
+    /// The dataflow itself.
+    Main,
+}
 
-    // Last gate index that writes each qubit. A read of a released ancilla
-    // that a *later* gate recomputes is the degenerate arm of a conjugation
-    // template — provably dead but benign (compilers legitimately emit
-    // these at small word widths, where an operand collapses to a constant).
-    // A read after the ancilla's final write can never fire for the rest of
-    // the circuit: that is the classic stale-read bug, reported as an error.
-    let mut last_write: Vec<usize> = vec![0; n];
-    for (index, view) in circuit.iter().enumerate() {
-        if !view.kind.is_phase() && (view.target as usize) < n {
-            last_write[view.target as usize] = index;
-        }
-    }
+/// What a gate's controls XOR into its target.
+#[derive(Debug, Clone, Copy)]
+enum Addend {
+    /// A single term.
+    Term(TermId),
+    /// The whole XOR-set of this control qubit.
+    Linear(usize),
+}
 
-    let mut diags = Vec::new();
-    let mut label_of: Vec<Option<&str>> = vec![None; n];
-    for (q, label) in &spec.ancillas {
-        if (*q as usize) < n {
-            label_of[*q as usize] = Some(label.as_str());
-        }
-        // Ancillae past the circuit's width are untouched, hence still |0⟩.
-    }
+/// The analysis state, fed one gate at a time through [`GateSink`].
+#[derive(Debug)]
+struct Analysis<'a> {
+    pass: Pass,
+    /// Index of the next gate in the stream.
+    index: usize,
+    labels: Vec<Option<&'a str>>,
+    last_write: Vec<usize>,
+    qubits: Vec<QubitValue>,
+    phases: Vec<Phase>,
+    values: SliceInterner,
+    /// Products by sorted, deduplicated factor value ids; product `i` is
+    /// term `first_product + i`.
+    products: SliceInterner,
+    first_product: TermId,
+    /// Reused buffers: the merged set being built, and a gate's factors.
+    scratch: Vec<TermId>,
+    factors: Vec<ValueId>,
+    diags: Vec<Diagnostic>,
+}
 
-    let mut interner = Interner::default();
-    let one = interner.term(Term::One);
-    let mut values: Vec<AbsVal> = (0..n as u32)
-        .map(|q| {
-            if label_of[q as usize].is_some() {
-                AbsVal::Set(Vec::new())
-            } else {
-                let leaf = interner.term(Term::Leaf(q));
-                AbsVal::Set(vec![leaf])
+impl<'a> Analysis<'a> {
+    /// Every qubit listed in `spec` starts as the constant 0; every other
+    /// qubit `q < width` starts as its own leaf term `1 + q`.
+    fn new(width: usize, spec: &'a AncillaSpec) -> Analysis<'a> {
+        let mut labels: Vec<Option<&str>> = vec![None; width];
+        for (q, label) in &spec.ancillas {
+            if (*q as usize) < width {
+                labels[*q as usize] = Some(label.as_str());
             }
-        })
-        .collect();
-    let mut phases: Vec<Phase> = vec![Phase::Fresh; n];
+            // Ancillae past the stream's width are untouched, hence still |0⟩.
+        }
+        let qubits = (0..width)
+            .map(|q| {
+                if labels[q].is_some() {
+                    QubitValue::set(Vec::new())
+                } else {
+                    QubitValue::set(vec![1 + q as TermId])
+                }
+            })
+            .collect();
+        Analysis {
+            pass: Pass::LastWrite,
+            index: 0,
+            labels,
+            last_write: vec![0; width],
+            qubits,
+            phases: vec![Phase::Fresh; width],
+            values: SliceInterner::default(),
+            products: SliceInterner::default(),
+            first_product: 1 + width as TermId,
+            scratch: Vec::new(),
+            factors: Vec::new(),
+            diags: Vec::new(),
+        }
+    }
 
-    for (index, view) in circuit.iter().enumerate() {
+    /// Run the analysis over a stream that `replay` pushes into the sink:
+    /// once to learn each qubit's last write, once for the dataflow.
+    fn run(
+        width: usize,
+        spec: &AncillaSpec,
+        replay: impl Fn(&mut Analysis<'_>),
+    ) -> Vec<Diagnostic> {
+        let mut analysis = Analysis::new(width, spec);
+        replay(&mut analysis);
+        analysis.pass = Pass::Main;
+        analysis.index = 0;
+        replay(&mut analysis);
+        analysis.verdicts(spec)
+    }
+
+    fn record_last_write(&mut self, view: GateView<'_>) {
+        // A read of a released ancilla that a *later* gate recomputes is
+        // the degenerate arm of a conjugation template — provably dead but
+        // benign (compilers legitimately emit these at small word widths,
+        // where an operand collapses to a constant). A read after the
+        // ancilla's final write can never fire for the rest of the
+        // circuit: that is the classic stale-read bug, reported as an
+        // error.
+        if !view.kind.is_phase() && (view.target as usize) < self.last_write.len() {
+            self.last_write[view.target as usize] = self.index;
+        }
+    }
+
+    fn step(&mut self, view: GateView<'_>) {
         // Phase gates are diagonal: they never change basis values, so the
         // abstraction ignores them entirely.
         if view.kind.is_phase() {
-            continue;
+            return;
         }
+        let index = self.index;
 
         // Pass 1 over the controls: flag dead reads of released ancillae and
         // detect provable no-ops (any identically-zero control kills the
@@ -239,9 +369,10 @@ pub fn check_ancillas(circuit: &Circuit, spec: &AncillaSpec) -> Vec<Diagnostic> 
         let mut dead = false;
         let mut any_top = false;
         for &c in view.controls {
-            if let Some(label) = label_of.get(c as usize).copied().flatten() {
-                if phases[c as usize] == Phase::Released {
-                    let diag = if last_write[c as usize] > index {
+            let c = c as usize;
+            if let Some(label) = self.labels[c] {
+                if self.phases[c] == Phase::Released {
+                    let diag = if self.last_write[c] > index {
                         Diagnostic::warning(
                             codes::USE_AFTER_UNCOMPUTE,
                             format!(
@@ -260,110 +391,206 @@ pub fn check_ancillas(circuit: &Circuit, spec: &AncillaSpec) -> Vec<Diagnostic> 
                             ),
                         )
                     };
-                    diags.push(diag.at_gate(index));
+                    self.diags.push(diag.at_gate(index));
                 }
             }
-            match values.get(c as usize) {
-                Some(AbsVal::Set(s)) if s.is_empty() => dead = true,
-                Some(AbsVal::Set(_)) => {}
-                Some(AbsVal::Top) | None => any_top = true,
+            let value = &self.qubits[c];
+            if value.top {
+                any_top = true;
+            } else if value.terms.is_empty() {
+                dead = true;
             }
         }
         if dead {
-            continue;
+            return;
         }
 
         let t = view.target as usize;
-        if t >= n {
-            continue; // out-of-range target: wellformedness reports it
-        }
-
-        let update_phase = |phases: &mut Vec<Phase>, values: &[AbsVal], t: usize| {
-            phases[t] = if values[t].is_zero() {
-                match phases[t] {
-                    Phase::Fresh => Phase::Fresh,
-                    Phase::Active | Phase::Released => Phase::Released,
-                }
-            } else {
-                Phase::Active
-            };
-        };
-
         if view.kind == GateKind::Mch || any_top {
-            values[t] = AbsVal::Top;
-            if label_of[t].is_some() {
-                update_phase(&mut phases, &values, t);
-            }
-            continue;
+            self.qubits[t].widen();
+            self.update_phase(t);
+            return;
         }
-
-        // All controls are concrete sets. Fold them into the XOR-set to add
-        // to the target: drop constant-1 controls, treat a single remaining
-        // control linearly, intern a product term for two or more.
-        let mut factor_ids: Vec<ValueId> = Vec::with_capacity(view.controls.len());
-        let mut linear: Option<Vec<TermId>> = None;
-        for &c in view.controls {
-            let AbsVal::Set(s) = &values[c as usize] else {
-                unreachable!("⊤ controls handled above")
-            };
-            if s.as_slice() == [one] {
-                continue; // multiplying by the constant 1
-            }
-            linear = Some(s.clone());
-            factor_ids.push(interner.value(s));
-        }
-        factor_ids.sort_unstable();
-        factor_ids.dedup();
-        let addend: Vec<TermId> = match factor_ids.len() {
-            0 => vec![one],
-            1 => linear.expect("one non-trivial control"),
-            _ => vec![interner.term(Term::Product(factor_ids))],
-        };
-
-        let AbsVal::Set(old) = &values[t] else {
+        if self.qubits[t].top {
             // A ⊤ target stays ⊤ under XOR updates.
-            continue;
-        };
-        let next = xor_sets(old, &addend);
-        values[t] = if next.len() > TERM_CAP {
-            AbsVal::Top
-        } else {
-            AbsVal::Set(next)
-        };
-        if label_of[t].is_some() {
-            update_phase(&mut phases, &values, t);
+            return;
         }
+
+        match self.addend(view.controls) {
+            Addend::Term(term) => {
+                let value = &mut self.qubits[t];
+                match value.terms.binary_search(&term) {
+                    Ok(at) => {
+                        value.terms.remove(at);
+                    }
+                    Err(at) => value.terms.insert(at, term),
+                }
+                value.hash ^= term_hash(term);
+            }
+            Addend::Linear(c) => {
+                xor_sets_into(
+                    &self.qubits[t].terms,
+                    &self.qubits[c].terms,
+                    &mut self.scratch,
+                );
+                let hash = self.qubits[c].hash;
+                let value = &mut self.qubits[t];
+                std::mem::swap(&mut value.terms, &mut self.scratch);
+                value.hash ^= hash;
+            }
+        }
+        let value = &mut self.qubits[t];
+        value.value = NO_VALUE;
+        if value.terms.len() > TERM_CAP {
+            value.widen();
+        }
+        self.update_phase(t);
     }
 
-    for (q, label) in &spec.ancillas {
-        let Some(value) = values.get(*q as usize) else {
-            continue;
+    /// Fold concrete controls into the XOR-set to add to the target: drop
+    /// constant-1 controls, treat a single remaining value linearly, intern
+    /// a product term for two or more distinct values.
+    fn addend(&mut self, controls: &[Qubit]) -> Addend {
+        let mut nontrivial = controls
+            .iter()
+            .filter(|&&c| !self.qubits[c as usize].is_one());
+        let Some(&first) = nontrivial.next() else {
+            return Addend::Term(ONE); // multiplying by the constant 1
         };
-        match value {
-            AbsVal::Set(s) if s.is_empty() => {}
-            AbsVal::Set(s) => {
-                diags.push(Diagnostic::error(
-                    codes::LEAKED_ANCILLA,
-                    format!(
-                        "{label} is not returned to |0⟩ ({} residual symbolic \
-                         term{})",
-                        s.len(),
-                        if s.len() == 1 { "" } else { "s" }
-                    ),
-                ));
+        if nontrivial.next().is_none() {
+            return Addend::Linear(first as usize);
+        }
+        self.factors.clear();
+        for &c in controls {
+            let value = &mut self.qubits[c as usize];
+            if value.is_one() {
+                continue;
             }
-            AbsVal::Top => {
-                diags.push(Diagnostic::warning(
+            if value.value == NO_VALUE {
+                value.value = self.values.intern(value.hash, &value.terms);
+            }
+            self.factors.push(value.value);
+        }
+        self.factors.sort_unstable();
+        self.factors.dedup();
+        if self.factors.len() == 1 {
+            return Addend::Linear(first as usize);
+        }
+        let hash = self
+            .factors
+            .iter()
+            .fold(mix(self.factors.len() as u64), |h, &f| {
+                mix(h ^ u64::from(f))
+            });
+        Addend::Term(self.first_product + self.products.intern(hash, &self.factors))
+    }
+
+    fn update_phase(&mut self, t: usize) {
+        if self.labels[t].is_none() {
+            return;
+        }
+        self.phases[t] = if self.qubits[t].is_zero() {
+            match self.phases[t] {
+                Phase::Fresh => Phase::Fresh,
+                Phase::Active | Phase::Released => Phase::Released,
+            }
+        } else {
+            Phase::Active
+        };
+    }
+
+    fn verdicts(mut self, spec: &AncillaSpec) -> Vec<Diagnostic> {
+        for (q, label) in &spec.ancillas {
+            let Some(value) = self.qubits.get(*q as usize) else {
+                continue;
+            };
+            if value.top {
+                self.diags.push(Diagnostic::warning(
                     codes::ANCILLA_INDETERMINATE,
                     format!(
                         "{label} crossed a Hadamard or precision frontier; the \
                          analysis cannot prove it returns to |0⟩"
                     ),
                 ));
+            } else if !value.terms.is_empty() {
+                let n = value.terms.len();
+                self.diags.push(Diagnostic::error(
+                    codes::LEAKED_ANCILLA,
+                    format!(
+                        "{label} is not returned to |0⟩ ({n} residual symbolic \
+                         term{})",
+                        if n == 1 { "" } else { "s" }
+                    ),
+                ));
             }
         }
+        self.diags
     }
-    diags
+}
+
+impl GateSink for Analysis<'_> {
+    fn push_gate(&mut self, gate: Gate) {
+        self.push_view(gate.as_view());
+    }
+
+    fn push_view(&mut self, view: GateView<'_>) {
+        match self.pass {
+            Pass::LastWrite => self.record_last_write(view),
+            Pass::Main => self.step(view),
+        }
+        self.index += 1;
+    }
+}
+
+/// Run the ancilla-discipline analysis over a gate stream.
+///
+/// Every qubit listed in `spec` starts as the constant-0 value; every other
+/// qubit starts as an opaque initial-value term. Works at any gate level
+/// (MCX streams and Toffoli/Clifford+T streams alike) and at any width —
+/// the term domain has no 64-qubit limit, unlike the simulators.
+pub fn check_ancillas(circuit: &Circuit, spec: &AncillaSpec) -> Vec<Diagnostic> {
+    // A corrupted operand arena makes the gate views themselves
+    // unreadable; the well-formedness audit owns that finding, and this
+    // analysis must not iterate a stream it cannot trust.
+    if !circuit.audit_raw().is_empty() {
+        return Vec::new();
+    }
+    Analysis::run(circuit.num_qubits() as usize, spec, |sink| {
+        for view in circuit {
+            sink.push_view(view);
+        }
+    })
+}
+
+/// Run the ancilla-discipline analysis over the Toffoli level of an MCX
+/// circuit, on the ancillae the Barenco decomposition adds.
+///
+/// The Toffoli stream of [`qcirc::decompose::mcx_to_toffoli`] is replayed
+/// gate by gate and never materialized. Its width is the circuit's width
+/// plus [`ancillas_needed`], and each added qubit `q` is labelled
+/// `"decomposition ancilla {q}"`; the circuit's own qubits are opaque
+/// inputs here (check its scratch region with [`check_ancillas`]). Gate
+/// indices in diagnostics count Toffoli-level gates. Like
+/// [`check_ancillas`], returns nothing for a circuit whose packed
+/// representation fails [`Circuit::audit_raw`].
+pub fn check_decomposition_ancillas(circuit: &Circuit) -> Vec<Diagnostic> {
+    if !circuit.audit_raw().is_empty() {
+        return Vec::new();
+    }
+    let extra = ancillas_needed(circuit);
+    if extra == 0 {
+        return Vec::new();
+    }
+    let base = circuit.num_qubits();
+    let mut spec = AncillaSpec::default();
+    for q in base..base + extra {
+        spec.push(q, format!("decomposition ancilla {q}"));
+    }
+    Analysis::run((base + extra) as usize, &spec, |sink| {
+        for view in circuit {
+            emit_toffoli_level_view(view, base, sink);
+        }
+    })
 }
 
 #[cfg(test)]
@@ -554,5 +781,25 @@ mod tests {
         c.push(Gate::toffoli(0, 100, 129));
         c.push(Gate::toffoli(0, 100, 129));
         assert!(check_ancillas(&c, &spec(&[129])).is_empty());
+    }
+
+    #[test]
+    fn decomposition_ancillas_are_checked_on_the_toffoli_stream() {
+        // Clean: the V-chain restores its ancilla. No chain, no check.
+        let mut c = Circuit::new(5);
+        c.push(Gate::mcx(vec![0, 1, 2], 3));
+        assert!(check_decomposition_ancillas(&c).is_empty());
+        let mut small = Circuit::new(3);
+        small.push(Gate::toffoli(0, 1, 2));
+        assert!(check_decomposition_ancillas(&small).is_empty());
+
+        // A ⊤ control makes the chain ancilla (qubit 4 = width) ⊤ as well.
+        let mut c = Circuit::new(4);
+        c.push(Gate::h(0));
+        c.push(Gate::mcx(vec![0, 1, 2], 3));
+        let diags = check_decomposition_ancillas(&c);
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, codes::ANCILLA_INDETERMINATE);
+        assert!(diags[0].message.starts_with("decomposition ancilla 4 "));
     }
 }

@@ -15,7 +15,8 @@
 //! * [`ancilla`] — an exact symbolic dataflow over the permutation fragment
 //!   (X/CX/CCX/MCX, with havoc at Hadamard frontiers) proving each ancilla
 //!   returns to |0⟩ before release, and flagging leaked ancillae and
-//!   use-after-uncompute.
+//!   use-after-uncompute — on the MCX stream and on the streamed Toffoli
+//!   level of the Barenco decomposition.
 //! * [`tbounds`] — an interval analysis over the Tower core IR predicting
 //!   `[min, max]` T-count per function *before* selection and decomposition,
 //!   cross-checked against actual compiled counts.
@@ -39,7 +40,7 @@ pub mod diag;
 pub mod tbounds;
 pub mod wellformed;
 
-pub use ancilla::{check_ancillas, AncillaSpec};
+pub use ancilla::{check_ancillas, check_decomposition_ancillas, AncillaSpec};
 pub use certify::{assert_certified, certify_pass};
 pub use diag::{bound_violations, Diagnostic, FunctionBounds, Report, Severity};
 pub use tbounds::{bound_function, TBound};

@@ -7,10 +7,9 @@
 //! tables the T-bound interval walk needs — none of which `spire-verify`
 //! (deliberately independent of the backend) can see on its own.
 
-use qcirc::decompose::mcx_to_toffoli;
 use spire_verify::{
-    bound_function, bound_violations, check_ancillas, check_circuit, codes, AncillaSpec,
-    FunctionBounds, Report,
+    bound_function, bound_violations, check_ancillas, check_circuit, check_decomposition_ancillas,
+    codes, AncillaSpec, FunctionBounds, Report,
 };
 use tower::{parse, WordConfig};
 
@@ -20,7 +19,7 @@ use crate::pipeline::{compile_source, CompileOptions, Compiled};
 
 /// The ancillae the layout allocates at the MCX level: the arithmetic and
 /// qRAM scratch region, labelled by sub-region.
-fn scratch_spec(layout: &Layout) -> AncillaSpec {
+pub fn scratch_spec(layout: &Layout) -> AncillaSpec {
     let mut spec = AncillaSpec::default();
     let carries = layout.scratch_carries();
     for i in 0..carries.width {
@@ -48,8 +47,12 @@ fn scratch_spec(layout: &Layout) -> AncillaSpec {
 /// structural well-formedness of the emitted MCX stream against the
 /// layout's qubit budget (footprint audit included), ancilla discipline of
 /// the layout's scratch region at the MCX level, ancilla discipline of the
-/// Barenco decomposition ancillae at the Toffoli level, and the static
-/// T-count interval against the compiled count.
+/// Barenco decomposition ancillae at the Toffoli level (streamed through
+/// the analysis by [`check_decomposition_ancillas`], never materialized),
+/// and the static T-count interval against the compiled count. Both
+/// ancilla checks are skipped when the emitted circuit fails
+/// [`qcirc::Circuit::audit_raw`]; the well-formedness diagnostics report
+/// the defect instead.
 pub fn check_compiled(compiled: &Compiled, function: &str) -> Report {
     let mut verify_span = spire_trace::span("verify");
     let mut report = Report::default();
@@ -70,14 +73,9 @@ pub fn check_compiled(compiled: &Compiled, function: &str) -> Report {
 
         // At the Toffoli level only the decomposition ancillae are new; the
         // scratch region was already checked exactly on the MCX stream.
-        let toffoli = mcx_to_toffoli(&circuit);
-        if toffoli.num_qubits() > circuit.num_qubits() {
-            let mut spec = AncillaSpec::default();
-            for q in circuit.num_qubits()..toffoli.num_qubits() {
-                spec.push(q, format!("decomposition ancilla {q}"));
-            }
-            report.diagnostics.extend(check_ancillas(&toffoli, &spec));
-        }
+        report
+            .diagnostics
+            .extend(check_decomposition_ancillas(&circuit));
     }
 
     {
