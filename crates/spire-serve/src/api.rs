@@ -12,11 +12,12 @@
 //! the compiler, `500`/`503` for service conditions.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use qcirc::json::{self, Json};
 use qcirc::sim::{BasisState, SparseState, SparseState256};
 use qcirc::Circuit;
-use spire::{CompileOptions, Compiled, Machine, OptConfig, Served, SpireError};
+use spire::{CacheKey, CompileOptions, Compiled, Machine, OptConfig, Served, SpireError};
 use tower::WordConfig;
 
 use crate::http::{Request, Response};
@@ -160,15 +161,15 @@ pub fn handle(state: &AppState, request: &Request) -> Response {
     }
 }
 
-fn run(endpoint: impl FnOnce() -> Result<Json, ApiError>) -> Response {
+fn run(endpoint: impl FnOnce() -> Result<String, ApiError>) -> Response {
     let result = endpoint();
     let response = match result {
         // An explicit `?trace=1` gets the span tree inline; sampled
         // traces stay out of the body so sampling never changes a
         // response a client did not ask to be different.
         Ok(body) => match spire_trace::active_explicit() {
-            Some(_) => Response::json(200, attach_inline_trace(body).to_string()),
-            None => Response::json(200, body.to_string()),
+            Some(_) => Response::json(200, attach_inline_trace(body)),
+            None => Response::json(200, body),
         },
         Err(e) => e.response(),
     };
@@ -181,18 +182,16 @@ fn run(endpoint: impl FnOnce() -> Result<Json, ApiError>) -> Response {
 }
 
 /// Append a `"trace"` field holding the request's span tree to a
-/// successful response body. The `handler` span and the `request` root
+/// successful response body (always a nonempty JSON object, so the field
+/// goes before its closing `}`). The `handler` span and the `request` root
 /// are still open at this point (the handler is *producing* this very
 /// response), so in-progress records are synthesized for them — their
 /// end timestamps read "so far", and the authoritative closed spans
 /// are recorded in the trace (and offered to the slow log) when the
 /// response flush completes.
-fn attach_inline_trace(body: Json) -> Json {
-    let Json::Object(mut fields) = body else {
-        return body;
-    };
+fn attach_inline_trace(mut body: String) -> String {
     let Some((trace_id, mut records)) = spire_trace::active_records() else {
-        return Json::Object(fields);
+        return body;
     };
     let now_ns = spire_trace::active_now_ns().unwrap_or(0);
     let root_id = spire_trace::active_root_id().unwrap_or(0);
@@ -214,8 +213,11 @@ fn attach_inline_trace(body: Json) -> Json {
     ));
     let tree = spire_trace::build_tree(trace_id, &records);
     let rendered = json::parse(&tree.to_json()).unwrap_or(Json::Null);
-    fields.push(("trace".to_string(), rendered));
-    Json::Object(fields)
+    body.pop();
+    body.push_str(",\"trace\":");
+    rendered.write(&mut body);
+    body.push('}');
+    body
 }
 
 /// Parameters shared by `/compile` and `/simulate`.
@@ -322,7 +324,7 @@ fn served_label(served: Served) -> &'static str {
 fn compile_through_cache(
     state: &AppState,
     params: &CompileParams,
-) -> Result<(std::sync::Arc<Compiled>, Served, spire::CacheKey), ApiError> {
+) -> Result<(Arc<Compiled>, Served, CacheKey), ApiError> {
     let (result, served, key) = state.compiler.get_or_compile_traced(
         &params.source,
         &params.entry,
@@ -334,17 +336,103 @@ fn compile_through_cache(
     Ok((compiled, served, key))
 }
 
-/// The response-ready `/compile` document for one compilation — every
-/// field the endpoint can return except `served` (which varies per
-/// request). The `.qc` text is always included so the persisted form
-/// can answer `include_qc` requests; responses strip it unless asked.
-/// This is the value the persistent tier stores (as JSON bytes, keyed
-/// by the compile [`spire::CacheKey`]): the full [`Compiled`] IR is not
-/// serialized — `/simulate` and `/check` need the live structure and
-/// always go through the in-memory compile cache.
-fn build_artifact(compiled: &Compiled, key: spire::CacheKey) -> Json {
+/// Which endpoint a memoized [`Doc`] answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum DocKind {
+    /// A `/compile` artifact.
+    Compile,
+    /// A `/check` verification report.
+    Check,
+}
+
+/// A response document, stored as the bytes that get served.
+///
+/// A `/compile` document is the artifact serialization
+/// `{"key":…,"histogram":{…},"qc":"…"}`, byte for byte the disk record,
+/// and `qc_at` is where its `.qc` field starts: a response without
+/// `include_qc` takes the fields before it. A `/check` document is the
+/// serialized report.
+#[derive(Debug, Clone)]
+pub(crate) struct Doc {
+    text: Arc<str>,
+    qc_at: usize,
+}
+
+impl Doc {
+    /// A `/compile` document from an artifact object, freshly built or
+    /// decoded from disk; `None` if `artifact` is not an object. The
+    /// `.qc` field is written last, where every artifact has it, so the
+    /// text is the artifact's compact serialization.
+    fn compile(artifact: &Json) -> Option<Doc> {
+        let fields = artifact.as_object()?;
+        let field = |text: &mut String, (name, value): &(String, Json)| {
+            if text.len() > 1 {
+                text.push(',');
+            }
+            json::escape_into(text, name);
+            text.push(':');
+            value.write(text);
+        };
+        let mut text = String::from("{");
+        for f in fields.iter().filter(|(name, _)| name != "qc") {
+            field(&mut text, f);
+        }
+        let qc_at = text.len();
+        for f in fields.iter().filter(|(name, _)| name == "qc") {
+            field(&mut text, f);
+        }
+        text.push('}');
+        Some(Doc {
+            text: text.into(),
+            qc_at,
+        })
+    }
+
+    /// A `/check` document: the serialized report.
+    fn check(report: &Json) -> Doc {
+        let text = report.to_string();
+        Doc {
+            qc_at: text.len(),
+            text: text.into(),
+        }
+    }
+
+    /// Memo weight: the stored bytes plus a fixed per-entry overhead.
+    pub(crate) fn weight(&self) -> u64 {
+        self.text.len() as u64 + 64
+    }
+
+    /// The `/compile` body: `served`, then the artifact's fields, the
+    /// `.qc` text only when asked for.
+    fn compile_body(&self, served: &str, include_qc: bool) -> String {
+        let end = if include_qc {
+            self.text.len() - 1
+        } else {
+            self.qc_at
+        };
+        let fields = &self.text[1..end];
+        let comma = if fields.is_empty() { "" } else { "," };
+        // `concat` sizes the body exactly: growing it by doubling would
+        // copy megabytes of `.qc` text.
+        ["{\"served\":\"", served, "\"", comma, fields, "}"].concat()
+    }
+
+    /// The `/check` body.
+    fn check_body(&self, key: CacheKey, served: &str) -> String {
+        let head = format!("{{\"key\":\"{key}\",\"served\":\"{served}\",\"report\":");
+        [&head, &*self.text, "}"].concat()
+    }
+}
+
+/// Build the `/compile` document for one compilation — emit the
+/// circuit, render its `.qc` text — and persist it.
+fn compile_doc(state: &AppState, compiled: &Compiled, key: CacheKey) -> Doc {
     let hist = compiled.histogram();
-    Json::obj()
+    let circuit = compiled.emit();
+    // Theorem 5.1: the cost model's MCX-complexity is the emitted
+    // circuit's gate count.
+    debug_assert_eq!(hist.mcx_complexity(), circuit.len() as u64);
+    let artifact = Json::obj()
         .field("key", key.to_string())
         .field("t_complexity", hist.t_complexity())
         .field("mcx_complexity", hist.mcx_complexity())
@@ -356,80 +444,60 @@ fn build_artifact(compiled: &Compiled, key: spire::CacheKey) -> Json {
             compiled.qubits_after_decomposition(),
         )
         .field("histogram", hist.to_json_value())
-        .field("qc", qcirc::qcformat::write(&compiled.emit()))
-        .build()
+        .field("qc", qcirc::qcformat::write(&circuit))
+        .build();
+    let doc = Doc::compile(&artifact).expect("an artifact is an object");
+    persist(state, key.value(), &doc);
+    doc
 }
 
-/// Splice `served` into an artifact and drop the `.qc` text unless the
-/// client asked for it.
-fn render_artifact(artifact: &Json, served: &str, include_qc: bool) -> Json {
-    let mut fields = vec![("served".to_string(), Json::from(served))];
-    if let Some(entries) = artifact.as_object() {
-        for (name, value) in entries {
-            if name == "qc" && !include_qc {
-                continue;
-            }
-            fields.push((name.clone(), value.clone()));
-        }
-    }
-    Json::Object(fields)
-}
-
-/// Persist a freshly built artifact when the disk tier is enabled and
+/// Persist a freshly built document when the disk tier is enabled and
 /// does not hold this key yet. Write failures never fail the request —
 /// the disk tier is an optimization — but they *are* observed by the
 /// circuit breaker, so a failing device stops being poked once the
 /// breaker opens. The in-memory `contains` check runs before the
 /// breaker gate: it does no I/O, so it must neither consume a half-open
 /// probe nor count as a device success.
-fn persist_artifact(state: &AppState, key: u128, artifact: &Json) {
+fn persist(state: &AppState, key: u128, doc: &Doc) {
     let Some(disk) = state.disk() else { return };
     if disk.contains(key) || !state.breaker.allow() {
         return;
     }
-    match disk.put(key, artifact.to_string().as_bytes()) {
+    match disk.put(key, doc.text.as_bytes()) {
         Ok(_) => state.breaker.record_success(),
         Err(_) => state.breaker.record_failure(),
     }
 }
 
-fn compile_endpoint(state: &AppState, request: &Request) -> Result<Json, ApiError> {
+fn compile_endpoint(state: &AppState, request: &Request) -> Result<String, ApiError> {
     let timer = std::time::Instant::now();
     let body = parse_body(request)?;
     let params = compile_params(&body)?;
     let include_qc = matches!(body.get("include_qc"), Some(Json::Bool(true)));
-    let key = spire::CacheKey::new(
+    let key = CacheKey::new(
         &params.source,
         &params.entry,
         params.depth,
         params.config,
         &params.options,
     );
+    let memo_key = (key.value(), DocKind::Compile);
     // Tiered resolution. 1: the in-memory compile cache (the live
     // `Compiled` — also backfills the disk tier for keys first compiled
-    // by `/check` or `/simulate`). The rendered artifact is memoized in
-    // the artifact map: building one re-emits the circuit and renders
-    // its `.qc` text, milliseconds of CPU a cache *hit* must not pay
-    // per request.
-    let response = if let Some(compiled) = state.compiler.cache().lookup(key) {
-        let artifact = match state.artifact(key.value()) {
-            Some(artifact) => artifact,
-            None => {
-                let artifact = std::sync::Arc::new(build_artifact(&compiled, key));
-                state.store_artifact(key.value(), std::sync::Arc::clone(&artifact));
-                persist_artifact(state, key.value(), &artifact);
-                artifact
-            }
-        };
-        render_artifact(&artifact, "cache", include_qc)
-    } else if let Some(artifact) = state.artifact(key.value()) {
-        // 2: an artifact decoded from an earlier disk hit (or memoized
-        // by an earlier tier-1 hit whose live compilation has since
-        // been dropped).
-        render_artifact(&artifact, "cache", include_qc)
-    } else if let Some(artifact) = disk_artifact(state, key.value()) {
+    // by `/check` or `/simulate`). The document is memoized: building
+    // one re-emits the circuit and renders its `.qc` text, milliseconds
+    // of CPU a cache *hit* must not pay per request.
+    let (doc, served) = if let Some(compiled) = state.compiler.cache().lookup(key) {
+        let doc = state.doc(memo_key, || compile_doc(state, &compiled, key));
+        (doc, "cache")
+    } else if let Some(doc) = state.memo_get(memo_key) {
+        // 2: a document decoded from an earlier disk hit (or memoized by
+        // an earlier tier-1 hit whose live compilation has since been
+        // dropped).
+        (doc, "cache")
+    } else if let Some(doc) = disk_doc(state, key.value()) {
         // 3: the persistent tier — a previous process compiled this.
-        render_artifact(&artifact, "disk", include_qc)
+        (doc, "disk")
     } else {
         // 4: compile (deduplicated by the single-flight layer).
         let (compiled, served, _key) = compile_through_cache(state, &params)?;
@@ -439,11 +507,10 @@ fn compile_endpoint(state: &AppState, request: &Request) -> Result<Json, ApiErro
         if served == Served::Led && spire_trace::is_active() {
             let _ = spire::check_compiled(&compiled, &params.entry);
         }
-        let artifact = std::sync::Arc::new(build_artifact(&compiled, key));
-        state.store_artifact(key.value(), std::sync::Arc::clone(&artifact));
-        persist_artifact(state, key.value(), &artifact);
-        render_artifact(&artifact, served_label(served), include_qc)
+        let doc = state.doc(memo_key, || compile_doc(state, &compiled, key));
+        (doc, served_label(served))
     };
+    let response = doc.compile_body(served, include_qc);
     state
         .metrics
         .compile_latency
@@ -451,18 +518,18 @@ fn compile_endpoint(state: &AppState, request: &Request) -> Result<Json, ApiErro
     Ok(response)
 }
 
-/// Fetch and decode an artifact from the persistent tier, remembering
-/// the decoded form so repeats skip the disk read and parse. A record
-/// whose checksum verified but whose payload does not decode as an
-/// artifact object is never served — it is *quarantined* (dropped from
-/// the index and counted), so a poisoned record costs one failed parse
-/// total instead of one per request.
+/// Fetch a document from the persistent tier and memoize it so repeats
+/// skip the disk read and parse. A record whose checksum verified but
+/// whose payload does not decode as an artifact object is never served
+/// — it is *quarantined* (dropped from the index and counted), so a
+/// poisoned record costs one failed parse total instead of one per
+/// request.
 ///
 /// The tier is gated by the circuit breaker: index misses cost no I/O
 /// and bypass it; actual reads report their outcome, so consecutive
 /// device errors open the breaker and later requests skip straight to
 /// compilation.
-fn disk_artifact(state: &AppState, key: u128) -> Option<std::sync::Arc<Json>> {
+fn disk_doc(state: &AppState, key: u128) -> Option<Doc> {
     let disk = state.disk()?;
     if !disk.contains(key) {
         return None; // pure index miss: no device I/O to gate or record
@@ -486,14 +553,12 @@ fn disk_artifact(state: &AppState, key: u128) -> Option<std::sync::Arc<Json>> {
             let decoded = std::str::from_utf8(&payload)
                 .ok()
                 .and_then(|text| json::parse(text).ok())
-                .filter(|parsed| parsed.as_object().is_some());
-            let Some(parsed) = decoded else {
+                .and_then(|parsed| Doc::compile(&parsed));
+            let Some(doc) = decoded else {
                 disk.quarantine(key);
                 return None;
             };
-            let artifact = std::sync::Arc::new(parsed);
-            state.store_artifact(key, std::sync::Arc::clone(&artifact));
-            Some(artifact)
+            Some(state.memo_insert((key, DocKind::Compile), doc))
         }
     }
 }
@@ -519,7 +584,7 @@ fn parse_inputs(value: &Json, context: &str) -> Result<Vec<(String, u64)>, ApiEr
     Ok(inputs)
 }
 
-fn simulate_endpoint(state: &AppState, request: &Request) -> Result<Json, ApiError> {
+fn simulate_endpoint(state: &AppState, request: &Request) -> Result<String, ApiError> {
     let body = parse_body(request)?;
     let params = compile_params(&body)?;
     // Two request shapes: a single `inputs` object, or a batched `shots`
@@ -592,7 +657,7 @@ fn simulate_endpoint(state: &AppState, request: &Request) -> Result<Json, ApiErr
             .field("support", support.map(Json::from))
             .field("vars", vars);
     }
-    Ok(response.build())
+    Ok(response.build().to_string())
 }
 
 /// Run every shot of a batch on one backend against one emitted circuit,
@@ -645,30 +710,21 @@ fn read_vars(compiled: &Compiled, read: impl Fn(&str) -> Option<u64>) -> Json {
 /// well-formedness, ancilla discipline, and the entry function's static
 /// T-complexity bounds. A dirty report is still a `200`: the *check*
 /// succeeded; `report.clean` says what it found.
-fn check_endpoint(state: &AppState, request: &Request) -> Result<Json, ApiError> {
+fn check_endpoint(state: &AppState, request: &Request) -> Result<String, ApiError> {
     let body = parse_body(request)?;
     let params = compile_params(&body)?;
     let (compiled, served, key) = compile_through_cache(state, &params)?;
     // The analyses are deterministic over the compiled program, which
-    // the content address pins — memoize the rendered report so a warm
-    // `/check` costs a lookup, not a re-verification.
-    let report = match state.report(key.value()) {
-        Some(report) => report,
-        None => {
-            let report =
-                std::sync::Arc::new(spire::check_compiled(&compiled, &params.entry).to_json());
-            state.store_report(key.value(), std::sync::Arc::clone(&report));
-            report
-        }
-    };
-    Ok(Json::obj()
-        .field("key", key.to_string())
-        .field("served", served_label(served))
-        .field("report", (*report).clone())
-        .build())
+    // the content address pins — memoize the serialized report so a warm
+    // `/check` costs a lookup, not a re-verification, and concurrent
+    // cold ones verify once.
+    let doc = state.doc((key.value(), DocKind::Check), || {
+        Doc::check(&spire::check_compiled(&compiled, &params.entry).to_json())
+    });
+    Ok(doc.check_body(key, served_label(served)))
 }
 
-fn benchmarks_endpoint(state: &AppState, request: &Request) -> Result<Json, ApiError> {
+fn benchmarks_endpoint(state: &AppState, request: &Request) -> Result<String, ApiError> {
     let depth: i64 = match request.query_param("depth") {
         None => 3,
         Some(raw) => raw
@@ -710,14 +766,18 @@ fn benchmarks_endpoint(state: &AppState, request: &Request) -> Result<Json, ApiE
     Ok(Json::obj()
         .field("depth", depth)
         .field("benchmarks", Json::Array(rows))
-        .build())
+        .build()
+        .to_string())
 }
 
 fn metrics_endpoint(state: &AppState, request: &Request) -> Response {
     let cache = state.compiler.cache().stats();
     let flights = state.compiler.flight_stats();
     let disk = state.disk().map(spire::DiskStore::stats);
-    let (artifact_bytes, report_bytes, memo_evictions) = state.memo_stats();
+    let (memo_bytes, memo_evictions) = {
+        let memo = state.docs.lock().expect("document memo poisoned");
+        (memo.resident_bytes(), memo.evictions())
+    };
     let health = crate::metrics::ServeHealth {
         breaker: state.disk().map(|_| state.breaker.snapshot()),
         faults: state
@@ -725,8 +785,7 @@ fn metrics_endpoint(state: &AppState, request: &Request) -> Response {
             .map(spire::DiskStore::faults)
             .filter(|faults| faults.is_active())
             .map(|faults| (faults.label().to_string(), faults.stats())),
-        artifact_bytes,
-        report_bytes,
+        memo_bytes,
         memo_evictions,
     };
     match request.query_param("format") {

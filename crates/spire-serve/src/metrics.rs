@@ -25,7 +25,7 @@ use qcirc::json::Json;
 use crate::breaker::BreakerSnapshot;
 
 /// Serving-health extras for the `/metrics` document: disk-tier breaker
-/// state, any active fault injection, and memo-map residency — the
+/// state, any active fault injection, and document-memo residency — the
 /// observability half of the graceful-degradation story.
 #[derive(Debug, Default)]
 pub struct ServeHealth {
@@ -34,11 +34,9 @@ pub struct ServeHealth {
     /// Active fault-injection schedule `(label, stats)`; `None` when no
     /// injection is configured (the production case).
     pub faults: Option<(String, spire::FaultStats)>,
-    /// Resident bytes of the memoized `/compile` artifact map.
-    pub artifact_bytes: u64,
-    /// Resident bytes of the memoized `/check` report map.
-    pub report_bytes: u64,
-    /// Entries evicted from the two memo maps by their byte budgets.
+    /// Resident bytes of the response-document memo.
+    pub memo_bytes: u64,
+    /// Entries evicted from the document memo by its byte budget.
     pub memo_evictions: u64,
 }
 
@@ -396,12 +394,8 @@ impl Metrics {
                 "memory",
                 Json::obj()
                     .field("cache_bytes", cache.resident_bytes)
-                    .field("artifact_bytes", health.artifact_bytes)
-                    .field("report_bytes", health.report_bytes)
-                    .field(
-                        "resident_bytes",
-                        cache.resident_bytes + health.artifact_bytes + health.report_bytes,
-                    )
+                    .field("memo_bytes", health.memo_bytes)
+                    .field("resident_bytes", cache.resident_bytes + health.memo_bytes)
                     .field("memo_evictions", health.memo_evictions),
             )
             .field(
@@ -618,14 +612,14 @@ impl Metrics {
         counter_line(
             w,
             "spire_memo_evictions_total",
-            "Entries evicted from the artifact/report memo maps.",
+            "Entries evicted from the response-document memo.",
             health.memo_evictions,
         );
         gauge(
             w,
             "spire_memo_resident_bytes",
-            "Resident bytes of the artifact and report memo maps.",
-            &(health.artifact_bytes + health.report_bytes).to_string(),
+            "Resident bytes of the response-document memo.",
+            &health.memo_bytes.to_string(),
         );
         if let Some(stats) = disk {
             counter_line(
@@ -856,8 +850,7 @@ mod tests {
         let health = ServeHealth {
             breaker: Some(crate::breaker::CircuitBreaker::with_defaults().snapshot()),
             faults: Some(("eio:all".to_string(), spire::FaultStats::default())),
-            artifact_bytes: 512,
-            report_bytes: 256,
+            memo_bytes: 768,
             memo_evictions: 3,
         };
         let doc = metrics
@@ -918,7 +911,7 @@ mod tests {
                 .get("memory")
                 .and_then(|m| m.get("resident_bytes"))
                 .and_then(Json::as_u64),
-            Some(2048 + 512 + 256)
+            Some(2048 + 768)
         );
     }
 

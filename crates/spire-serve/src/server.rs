@@ -30,20 +30,21 @@
 //! their responses are written (bounded by a grace period), then the
 //! pool drains and the call returns.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qcirc::json::Json;
-use spire::{DiskStore, FaultSchedule, SingleFlightCache};
+use spire::cache::BudgetedMap;
+use spire::{DiskStore, FaultSchedule, SingleFlight, SingleFlightCache};
 use spire_trace::{derive_seed, AttrValue, TraceCtx};
 
+use crate::api::{Doc, DocKind};
 use crate::breaker::{CircuitBreaker, DEFAULT_COOLDOWN, DEFAULT_THRESHOLD};
 use crate::conn::{Conn, ConnState, PendingTrace, Token};
 use crate::http::{self, Limits, ParseError, Request, Response};
@@ -79,9 +80,9 @@ pub struct ServerConfig {
     /// serves from memory only (restarts start cold).
     pub cache_dir: Option<PathBuf>,
     /// Total memory budget (bytes) across the compile cache and the
-    /// memoized artifact/report maps; `None` is unbounded. The budget
-    /// splits half to the compile cache, a quarter each to the
-    /// artifact and report maps, all evicted second-chance.
+    /// response-document memo; `None` is unbounded. Each gets half,
+    /// rounded up so a tiny budget still bounds, and both evict
+    /// second-chance.
     pub cache_bytes: Option<u64>,
     /// How long a dispatched request may wait for a worker before it is
     /// shed with `503` + `retry-after` instead of being served stale.
@@ -148,107 +149,6 @@ pub fn default_threads() -> usize {
         .min(16)
 }
 
-/// A byte-budgeted memo map with second-chance (clock) eviction — the
-/// bounded form of the artifact/report maps. Weight is the approximate
-/// in-memory size of the JSON tree ([`json_weight`]); a budget of 0
-/// means unbounded.
-#[derive(Debug)]
-struct BoundedJsonMap {
-    entries: HashMap<u128, MapEntry>,
-    /// Clock order; may hold stale keys (skipped on pop).
-    clock: VecDeque<u128>,
-    budget: u64,
-    resident: u64,
-    evictions: u64,
-}
-
-#[derive(Debug)]
-struct MapEntry {
-    value: Arc<Json>,
-    bytes: u64,
-    referenced: bool,
-}
-
-impl BoundedJsonMap {
-    fn new(budget: u64) -> BoundedJsonMap {
-        BoundedJsonMap {
-            entries: HashMap::new(),
-            clock: VecDeque::new(),
-            budget,
-            resident: 0,
-            evictions: 0,
-        }
-    }
-
-    fn get(&mut self, key: u128) -> Option<Arc<Json>> {
-        let entry = self.entries.get_mut(&key)?;
-        entry.referenced = true;
-        Some(Arc::clone(&entry.value))
-    }
-
-    fn insert(&mut self, key: u128, value: Arc<Json>) {
-        if self.entries.contains_key(&key) {
-            // Content-addressed: a racing insert carries identical data.
-            return;
-        }
-        let bytes = json_weight(&value);
-        self.entries.insert(
-            key,
-            MapEntry {
-                value,
-                bytes,
-                referenced: true,
-            },
-        );
-        self.clock.push_back(key);
-        self.resident += bytes;
-        self.evict_to_budget();
-    }
-
-    /// Clock sweep: referenced entries get one more lap, unreferenced
-    /// ones are evicted, until the map fits its budget. Terminates
-    /// because each pass either evicts or clears a referenced bit that
-    /// nothing can re-set while `&mut self` is held.
-    fn evict_to_budget(&mut self) {
-        if self.budget == 0 {
-            return;
-        }
-        while self.resident > self.budget {
-            let Some(key) = self.clock.pop_front() else {
-                break;
-            };
-            let Some(entry) = self.entries.get_mut(&key) else {
-                continue; // stale slot
-            };
-            if entry.referenced {
-                entry.referenced = false;
-                self.clock.push_back(key);
-            } else {
-                let removed = self.entries.remove(&key).expect("present above");
-                self.resident -= removed.bytes;
-                self.evictions += 1;
-            }
-        }
-    }
-}
-
-/// Approximate resident bytes of a JSON tree: container and scalar
-/// overheads plus string payloads. A weight for budget accounting, not
-/// an exact heap measurement.
-fn json_weight(value: &Json) -> u64 {
-    match value {
-        Json::Null | Json::Bool(_) | Json::Int(_) | Json::UInt(_) | Json::Float(_) => 8,
-        Json::Str(s) => 24 + s.capacity() as u64,
-        Json::Array(items) => 24 + items.iter().map(json_weight).sum::<u64>(),
-        Json::Object(fields) => {
-            24 + fields
-                .iter()
-                .map(|(name, field)| 32 + name.capacity() as u64 + json_weight(field))
-                .sum::<u64>()
-        }
-    }
-}
-
 /// Shared state every request handler sees.
 #[derive(Debug)]
 pub struct AppState {
@@ -260,18 +160,15 @@ pub struct AppState {
     /// errors open it and the serving path skips disk (memory tiers
     /// keep answering) until a cooled-down probe succeeds.
     pub breaker: CircuitBreaker,
-    /// Response-ready `/compile` artifacts by compile key, memoized on
-    /// first build (and decoded from the disk tier on a warm restart).
-    /// Building an artifact re-emits the circuit and renders its `.qc`
-    /// text — milliseconds of CPU per request that a cache hit must pay
-    /// at most once, not every time.
-    artifacts: Mutex<BoundedJsonMap>,
-    /// Rendered `/check` verification reports by compile key. The
-    /// static analyses are deterministic over the compiled program, so
-    /// re-verifying a cached compilation would burn tens of
-    /// milliseconds of worker CPU per request to recompute a value the
-    /// content address already pins.
-    reports: Mutex<BoundedJsonMap>,
+    /// Response documents by (compile key, kind), held as the bytes
+    /// that get served and memoized on first build (or decoded from the
+    /// disk tier on a warm restart). Building one re-emits the circuit
+    /// and renders its `.qc` text, or re-runs the static analyses —
+    /// CPU a warm request must not pay again.
+    pub(crate) docs: Mutex<BudgetedMap<(u128, DocKind), Doc>>,
+    /// Coalesces concurrent builds of one document, so N cold requests
+    /// for a key build it once.
+    doc_flight: SingleFlight<Doc, (u128, DocKind)>,
     /// The persistent content-addressed artifact store, when enabled.
     disk: Option<DiskStore>,
     /// The N slowest traced requests, behind `GET /debug/slow`.
@@ -292,23 +189,10 @@ impl AppState {
         AppState::from_config(&ServerConfig::default()).expect("no cache dir, nothing to open")
     }
 
-    /// State backed by a persistent artifact store in `dir` (created if
-    /// missing, recovered if an earlier process crashed mid-write).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DiskStore::open`] failures.
-    pub fn with_cache_dir(dir: &Path) -> io::Result<Self> {
-        let mut state = AppState::new();
-        state.disk = Some(DiskStore::open(dir)?);
-        Ok(state)
-    }
-
-    /// State per [`ServerConfig`]: memory budget split across the
-    /// compile cache (half) and the artifact/report maps (a quarter
-    /// each), the configured breaker, and the persistent tier opened
-    /// with any fault-injection schedule (optionally compacted before
-    /// serving).
+    /// State per [`ServerConfig`]: memory budget split in half between
+    /// the compile cache and the document memo, the configured breaker,
+    /// and the persistent tier opened with any fault-injection schedule
+    /// (optionally compacted before serving).
     ///
     /// # Errors
     ///
@@ -317,10 +201,9 @@ impl AppState {
     /// server starts (possibly degraded) — robustness means a full or
     /// flaky disk delays compaction, it does not keep the service down.
     pub fn from_config(config: &ServerConfig) -> io::Result<Self> {
-        let (compiler, memo_budget) = match config.cache_bytes {
-            Some(total) => (SingleFlightCache::with_budget(total / 2), total / 4),
-            None => (SingleFlightCache::new(), 0),
-        };
+        // Rounding up keeps a tiny nonzero budget from reading as 0,
+        // which means unbounded.
+        let half = config.cache_bytes.map_or(0, |total| total.div_ceil(2));
         let disk = match &config.cache_dir {
             Some(dir) => {
                 let store = match &config.disk_faults {
@@ -335,11 +218,11 @@ impl AppState {
             None => None,
         };
         Ok(AppState {
-            compiler,
+            compiler: SingleFlightCache::with_budget(half),
             metrics: Metrics::new(),
             breaker: CircuitBreaker::new(config.disk_failure_threshold, config.disk_cooldown),
-            artifacts: Mutex::new(BoundedJsonMap::new(memo_budget)),
-            reports: Mutex::new(BoundedJsonMap::new(memo_budget)),
+            docs: Mutex::new(BudgetedMap::new(half)),
+            doc_flight: SingleFlight::new(),
             disk,
             slow: SlowLog::new(config.slow_log),
             trace_seed: config.trace_seed,
@@ -377,47 +260,37 @@ impl AppState {
         self.disk.as_ref()
     }
 
-    /// A decoded artifact from an earlier disk hit.
-    pub fn artifact(&self, key: u128) -> Option<Arc<Json>> {
-        self.artifacts
+    /// The memoized document under `key`, if resident.
+    pub(crate) fn memo_get(&self, key: (u128, DocKind)) -> Option<Doc> {
+        self.docs
             .lock()
-            .expect("artifact map poisoned")
-            .get(key)
+            .expect("document memo poisoned")
+            .get(&key)
+            .cloned()
     }
 
-    /// Remember a decoded disk artifact for subsequent requests.
-    pub fn store_artifact(&self, key: u128, artifact: Arc<Json>) {
-        self.artifacts
+    /// Memoize `doc` under `key`, returning the resident document (the
+    /// first of two racing inserts).
+    pub(crate) fn memo_insert(&self, key: (u128, DocKind), doc: Doc) -> Doc {
+        let weight = doc.weight();
+        self.docs
             .lock()
-            .expect("artifact map poisoned")
-            .insert(key, artifact);
+            .expect("document memo poisoned")
+            .insert(key, doc, weight)
     }
 
-    /// A memoized `/check` verification report for a compile key.
-    pub fn report(&self, key: u128) -> Option<Arc<Json>> {
-        self.reports.lock().expect("report map poisoned").get(key)
-    }
-
-    /// Remember a verification report for subsequent `/check` requests
-    /// on the same compile key.
-    pub fn store_report(&self, key: u128, report: Arc<Json>) {
-        self.reports
-            .lock()
-            .expect("report map poisoned")
-            .insert(key, report);
-    }
-
-    /// Resident bytes and eviction counts of the two memo maps, as
-    /// `(artifact_bytes, report_bytes, evictions)` — the `/metrics`
-    /// memory gauges beyond the compile cache's own stats.
-    pub fn memo_stats(&self) -> (u64, u64, u64) {
-        let artifacts = self.artifacts.lock().expect("artifact map poisoned");
-        let reports = self.reports.lock().expect("report map poisoned");
-        (
-            artifacts.resident,
-            reports.resident,
-            artifacts.evictions + reports.evictions,
-        )
+    /// The document under `key`, built by `build` on a memo miss — once
+    /// across concurrent callers, who wait for the builder's result.
+    pub(crate) fn doc(&self, key: (u128, DocKind), build: impl FnOnce() -> Doc) -> Doc {
+        if let Some(doc) = self.memo_get(key) {
+            return doc;
+        }
+        let (doc, _) = self.doc_flight.run(key, || {
+            // A flight that finished after our miss has memoized it.
+            self.memo_get(key)
+                .unwrap_or_else(|| self.memo_insert(key, build()))
+        });
+        doc
     }
 }
 
@@ -1070,49 +943,56 @@ fn error_response(status: u16, code: &str, message: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn doc(bytes: usize) -> Arc<Json> {
-        Arc::new(Json::obj().field("payload", "x".repeat(bytes)).build())
-    }
+    use qcirc::json::Json;
 
     #[test]
-    fn bounded_map_stays_under_budget_and_keeps_hot_keys() {
-        let mut map = BoundedJsonMap::new(4096);
-        // A cold sentinel ahead of the hot key in clock order: the
-        // first full sweep (where every bit is still set) reclaims it,
-        // not the hot key.
-        map.insert(999, doc(256));
-        map.insert(0, doc(256));
-        for key in 1..64u128 {
-            // Key 0 is touched before every insert: the referenced bit
-            // gives it a second chance on each eviction sweep.
-            let _ = map.get(0);
-            map.insert(key, doc(256));
-        }
-        assert!(
-            map.resident <= 4096,
-            "resident {} exceeds budget",
-            map.resident
-        );
-        assert!(map.evictions > 0, "evictions must have occurred");
-        assert!(map.get(0).is_some(), "hot key survived the sweeps");
-    }
-
-    #[test]
-    fn unbounded_map_never_evicts() {
-        let mut map = BoundedJsonMap::new(0);
-        for key in 0..64u128 {
-            map.insert(key, doc(1024));
-        }
-        assert_eq!(map.entries.len(), 64);
-        assert_eq!(map.evictions, 0);
-    }
-
-    #[test]
-    fn json_weight_scales_with_content() {
-        let small = json_weight(&Json::from(1u64));
-        let big = json_weight(&doc(10_000));
-        assert!(small < 64);
-        assert!(big > 10_000);
+    fn concurrent_cold_checks_verify_once() {
+        const N: usize = 6;
+        let state = AppState::new();
+        let bench = bench_suite::programs::all_benchmarks()
+            .into_iter()
+            .find(|b| b.name == "length")
+            .expect("length benchmark");
+        let body = Json::obj()
+            .field("source", bench.source.as_str())
+            .field("entry", bench.entry)
+            .field("depth", 4)
+            .build()
+            .to_string();
+        let request = Request {
+            method: "POST".to_string(),
+            path: "/check".to_string(),
+            query: String::new(),
+            headers: Vec::new(),
+            body: body.into_bytes(),
+        };
+        let barrier = std::sync::Barrier::new(N);
+        let bodies: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..N)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let response = crate::api::handle(&state, &request);
+                        assert_eq!(response.status, 200);
+                        String::from_utf8(response.body).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // Only the `served` label may differ between the N answers.
+        let normalized: Vec<String> = bodies
+            .iter()
+            .map(|body| {
+                let mut parsed = qcirc::json::parse(body).unwrap();
+                if let Json::Object(fields) = &mut parsed {
+                    fields.retain(|(name, _)| name != "served");
+                }
+                parsed.to_string()
+            })
+            .collect();
+        assert!(normalized.iter().all(|b| *b == normalized[0]));
+        assert!(normalized[0].contains("\"clean\":true"));
+        assert_eq!(state.doc_flight.stats().led, 1, "the verifier ran once");
     }
 }

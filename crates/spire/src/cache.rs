@@ -37,9 +37,11 @@
 //! budget is split evenly across the shards, each shard accounts the
 //! approximate resident bytes of its entries
 //! ([`Compiled::approx_bytes`]), and going over budget evicts via the
-//! **second-chance (clock)** policy: entries cycle through a queue with
-//! a referenced bit that any hit sets; an unreferenced entry at the
-//! front is evicted, a referenced one is unset and sent to the back.
+//! **second-chance (clock)** policy of [`BudgetedMap`]: entries cycle
+//! through a queue with a referenced bit that any hit sets; an
+//! unreferenced entry at the front is evicted, a referenced one is unset
+//! and sent to the back. [`BudgetedMap`] is the workspace's one
+//! budgeted map: `spire-serve` keeps its response-document memo in one.
 //! Eviction changes only *which* keys miss — a budgeted cache returns
 //! the same compilations an unbudgeted one would, because compilation
 //! is deterministic (`cache_props.rs` pins this equivalence).
@@ -64,6 +66,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use qcirc::hash::Fnv1a128;
@@ -200,86 +203,131 @@ pub struct CompileCache {
     shards: [Mutex<CacheShard>; SHARDS],
 }
 
-/// One cached compilation plus its eviction bookkeeping.
+/// A map with a byte budget, enforced by **second-chance (clock)**
+/// eviction: entries cycle through a queue with a referenced bit that
+/// [`get`](BudgetedMap::get) sets; going over budget evicts the first
+/// unreferenced entry at the front and sends referenced ones (bit
+/// cleared) to the back. Each entry's weight is given at insert and
+/// frozen there. A budget of 0 means unbounded.
+///
+/// Not synchronized: [`CompileCache`] puts one behind each shard lock.
 #[derive(Debug)]
-struct ShardEntry {
-    value: Arc<Compiled>,
-    /// Accounted weight, frozen at insert ([`Compiled::approx_bytes`]).
-    bytes: u64,
+pub struct BudgetedMap<K, V> {
+    entries: HashMap<K, Slot<V>>,
+    /// Clock order of the resident keys.
+    clock: VecDeque<K>,
+    budget: u64,
+    resident: u64,
+    evictions: u64,
+}
+
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
+    weight: u64,
     /// Second-chance bit: set by every hit, cleared by a clock pass.
     referenced: bool,
 }
 
-#[derive(Debug, Default)]
-struct CacheShard {
-    entries: HashMap<u128, ShardEntry>,
-    /// Clock order for second-chance eviction (only used when budgeted).
-    clock: VecDeque<u128>,
-    /// Per-shard byte budget; 0 = unbounded.
-    budget: u64,
-    resident_bytes: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+impl<K, V> BudgetedMap<K, V> {
+    /// An empty map holding at most `budget` bytes of accounted weight
+    /// (0 = unbounded).
+    pub fn new(budget: u64) -> Self {
+        BudgetedMap {
+            entries: HashMap::new(),
+            clock: VecDeque::new(),
+            budget,
+            resident: 0,
+            evictions: 0,
+        }
+    }
+
+    /// Summed weight of the resident entries.
+    pub fn resident_bytes(&self) -> u64 {
+        self.resident
+    }
+
+    /// Entries evicted so far.
+    pub fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
+    /// Drop every entry.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.clock.clear();
+        self.resident = 0;
+    }
 }
 
-impl CacheShard {
-    /// Insert (or adopt a racing insert of) `value` under `key`,
-    /// then evict down to budget.
-    fn insert(&mut self, key: u128, value: Arc<Compiled>) -> Arc<Compiled> {
+impl<K: Eq + Hash + Clone, V: Clone> BudgetedMap<K, V> {
+    /// The value under `key`, marking it recently used.
+    pub fn get(&mut self, key: &K) -> Option<&V> {
+        let slot = self.entries.get_mut(key)?;
+        slot.referenced = true;
+        Some(&slot.value)
+    }
+
+    /// Insert `value` under `key` with the given weight, then evict down
+    /// to budget. Returns the value stored under `key`: when a racing
+    /// insert got there first, *its* value is kept and returned, so
+    /// handles already given out stay shared.
+    pub fn insert(&mut self, key: K, value: V, weight: u64) -> V {
         if let Some(existing) = self.entries.get(&key) {
-            // A racing thread inserted the same key; keep the first
-            // insert so existing Arcs stay shared.
-            return Arc::clone(&existing.value);
+            return existing.value.clone();
         }
-        let bytes = value.approx_bytes();
         self.entries.insert(
-            key,
-            ShardEntry {
-                value: Arc::clone(&value),
-                bytes,
+            key.clone(),
+            Slot {
+                value: value.clone(),
+                weight,
                 referenced: true,
             },
         );
         self.clock.push_back(key);
-        self.resident_bytes += bytes;
+        self.resident += weight;
         self.evict_to_budget();
         value
     }
 
-    /// Second-chance eviction until resident bytes fit the budget:
-    /// rotate referenced entries (clearing their bit), evict the first
-    /// unreferenced one. Terminates because every rotation clears a
-    /// bit and every eviction shrinks the clock.
+    /// Clock sweep until resident bytes fit the budget. Terminates
+    /// because every rotation clears a bit (nothing can re-set one while
+    /// `&mut self` is held) and every eviction shrinks the clock.
     fn evict_to_budget(&mut self) {
         if self.budget == 0 {
             return;
         }
-        while self.resident_bytes > self.budget {
+        while self.resident > self.budget {
             let Some(key) = self.clock.pop_front() else {
                 break;
             };
-            let Some(entry) = self.entries.get_mut(&key) else {
-                // Stale clock slot from a clear(); skip it.
+            let Some(slot) = self.entries.get_mut(&key) else {
                 continue;
             };
-            if entry.referenced {
-                entry.referenced = false;
+            if slot.referenced {
+                slot.referenced = false;
                 self.clock.push_back(key);
             } else {
                 let evicted = self.entries.remove(&key).expect("entry just seen");
-                self.resident_bytes -= evicted.bytes;
+                self.resident -= evicted.weight;
                 self.evictions += 1;
             }
         }
     }
 }
 
+/// One lock stripe of a [`CompileCache`]: its entries and the hit/miss
+/// counters kept coherent with them under the same lock.
+#[derive(Debug)]
+struct CacheShard {
+    map: BudgetedMap<u128, Arc<Compiled>>,
+    hits: u64,
+    misses: u64,
+}
+
 impl Default for CompileCache {
     fn default() -> Self {
-        CompileCache {
-            shards: std::array::from_fn(|_| Mutex::new(CacheShard::default())),
-        }
+        CompileCache::with_budget(0)
     }
 }
 
@@ -294,17 +342,19 @@ impl CompileCache {
     /// evenly across the shards and enforced by second-chance
     /// eviction. `0` means unbounded (same as [`CompileCache::new`]).
     pub fn with_budget(total_bytes: u64) -> Self {
-        let cache = CompileCache::default();
-        if total_bytes > 0 {
-            // Every shard gets an equal slice; at least one byte so a
-            // tiny budget still bounds (to roughly one entry per shard)
-            // rather than silently meaning "unbounded".
-            let per_shard = (total_bytes / SHARDS as u64).max(1);
-            for shard in &cache.shards {
-                shard.lock().expect("compile cache poisoned").budget = per_shard;
-            }
+        // Rounding up gives every shard of a tiny budget at least one
+        // byte, so it still bounds (to roughly one entry per shard)
+        // rather than silently meaning "unbounded".
+        let per_shard = total_bytes.div_ceil(SHARDS as u64);
+        CompileCache {
+            shards: std::array::from_fn(|_| {
+                Mutex::new(CacheShard {
+                    map: BudgetedMap::new(per_shard),
+                    hits: 0,
+                    misses: 0,
+                })
+            }),
         }
-        cache
     }
 
     fn shard(&self, key: CacheKey) -> &Mutex<CacheShard> {
@@ -340,19 +390,17 @@ impl CompileCache {
             return Ok(found);
         }
         let compiled = Arc::new(compile_source(source, entry, depth, config, options)?);
+        let bytes = compiled.approx_bytes();
         let mut shard = self.shard(key).lock().expect("compile cache poisoned");
         shard.misses += 1;
-        Ok(shard.insert(key.0, compiled))
+        Ok(shard.map.insert(key.0, compiled, bytes))
     }
 
     /// Look up a key without compiling. Counts a hit (and marks the
     /// entry recently used) when present.
     pub fn lookup(&self, key: CacheKey) -> Option<Arc<Compiled>> {
         let mut shard = self.shard(key).lock().expect("compile cache poisoned");
-        let found = shard.entries.get_mut(&key.0).map(|entry| {
-            entry.referenced = true;
-            Arc::clone(&entry.value)
-        });
+        let found = shard.map.get(&key.0).cloned();
         if found.is_some() {
             shard.hits += 1;
         }
@@ -363,7 +411,7 @@ impl CompileCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("compile cache poisoned").entries.len())
+            .map(|s| s.lock().expect("compile cache poisoned").map.entries.len())
             .sum()
     }
 
@@ -375,10 +423,7 @@ impl CompileCache {
     /// Drop every cached program (counters are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock().expect("compile cache poisoned");
-            shard.entries.clear();
-            shard.clock.clear();
-            shard.resident_bytes = 0;
+            shard.lock().expect("compile cache poisoned").map.clear();
         }
     }
 
@@ -397,10 +442,10 @@ impl CompileCache {
         for shard in &guards {
             stats.hits += shard.hits;
             stats.misses += shard.misses;
-            stats.entries += shard.entries.len();
-            stats.resident_bytes += shard.resident_bytes;
-            stats.evictions += shard.evictions;
-            stats.budget_bytes += shard.budget;
+            stats.entries += shard.map.entries.len();
+            stats.resident_bytes += shard.map.resident_bytes();
+            stats.evictions += shard.map.evictions();
+            stats.budget_bytes += shard.map.budget;
         }
         stats
     }
@@ -531,6 +576,28 @@ mod tests {
             .get_or_compile(SRC, "inc", 0, WordConfig::tiny(), &options)
             .unwrap();
         assert_eq!(again.t_complexity(), one.t_complexity());
+    }
+
+    #[test]
+    fn budgeted_map_stays_under_budget_and_keeps_hot_keys() {
+        let mut map = BudgetedMap::new(4096);
+        // A cold sentinel ahead of the hot key in clock order: the
+        // first full sweep (where every bit is still set) reclaims it,
+        // not the hot key.
+        map.insert(999u128, 'c', 256);
+        map.insert(0, 'h', 256);
+        for key in 1..64u128 {
+            // Key 0 is touched before every insert: the referenced bit
+            // gives it a second chance on each eviction sweep.
+            let _ = map.get(&0);
+            map.insert(key, 'x', 256);
+            assert!(map.resident_bytes() <= map.budget);
+        }
+        assert!(map.evictions() > 0, "evictions must have occurred");
+        assert_eq!(map.get(&0), Some(&'h'), "hot key survived the sweeps");
+        assert_eq!(map.get(&999), None);
+        // The first of two inserts under one key is kept.
+        assert_eq!(map.insert(0, 'y', 256), 'h');
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! block until the leader publishes the result, so N concurrent
 //! identical requests cost exactly one compile.
 //!
-//! [`SingleFlight`] is the generic mechanism (any `Clone` value keyed by
-//! `u128`); [`SingleFlightCache`] composes it with a [`CompileCache`]
+//! [`SingleFlight`] is the generic mechanism (any `Clone` value, keyed
+//! by a `u128` content address unless told otherwise);
+//! [`SingleFlightCache`] composes it with a [`CompileCache`]
 //! into the object `spire-serve` actually uses. Failures propagate to
 //! every waiter of the flight but are not cached, matching the cache's
 //! errors-are-retried policy.
@@ -39,6 +40,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex};
 
 use tower::WordConfig;
@@ -101,12 +103,12 @@ impl<V> Flight<V> {
 /// Generic single-flight coalescing: concurrent [`SingleFlight::run`]
 /// calls with the same key execute the work closure exactly once and
 /// share its (cloned) result.
-pub struct SingleFlight<V> {
-    inflight: Mutex<HashMap<u128, Arc<Flight<V>>>>,
+pub struct SingleFlight<V, K = u128> {
+    inflight: Mutex<HashMap<K, Arc<Flight<V>>>>,
     stats: Mutex<FlightStats>,
 }
 
-impl<V> fmt::Debug for SingleFlight<V> {
+impl<V, K> fmt::Debug for SingleFlight<V, K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SingleFlight")
             .field("in_flight", &self.inflight.lock().map(|m| m.len()).ok())
@@ -114,7 +116,7 @@ impl<V> fmt::Debug for SingleFlight<V> {
     }
 }
 
-impl<V> Default for SingleFlight<V> {
+impl<V, K> Default for SingleFlight<V, K> {
     fn default() -> Self {
         SingleFlight {
             inflight: Mutex::new(HashMap::new()),
@@ -126,13 +128,13 @@ impl<V> Default for SingleFlight<V> {
 /// Removes the flight entry when the leader exits — by completion *or*
 /// by panic. On panic (publish never ran) it marks the flight abandoned
 /// and wakes the waiters so they retry as leaders instead of hanging.
-struct LeaderGuard<'a, V> {
-    owner: &'a SingleFlight<V>,
-    key: u128,
+struct LeaderGuard<'a, V, K: Eq + Hash> {
+    owner: &'a SingleFlight<V, K>,
+    key: K,
     flight: &'a Arc<Flight<V>>,
 }
 
-impl<V> Drop for LeaderGuard<'_, V> {
+impl<V, K: Eq + Hash> Drop for LeaderGuard<'_, V, K> {
     fn drop(&mut self) {
         let mut map = self.owner.inflight.lock().expect("single-flight poisoned");
         if let Some(current) = map.get(&self.key) {
@@ -149,7 +151,7 @@ impl<V> Drop for LeaderGuard<'_, V> {
     }
 }
 
-impl<V: Clone> SingleFlight<V> {
+impl<V: Clone, K: Eq + Hash + Clone> SingleFlight<V, K> {
     /// An empty single-flight table.
     pub fn new() -> Self {
         SingleFlight::default()
@@ -162,12 +164,12 @@ impl<V: Clone> SingleFlight<V> {
     /// clone of its value. Returns the value and this caller's
     /// [`Served`] role. If a leader panics, its waiters transparently
     /// retry (one becomes the next leader).
-    pub fn run(&self, key: u128, work: impl FnOnce() -> V) -> (V, Served) {
+    pub fn run(&self, key: K, work: impl FnOnce() -> V) -> (V, Served) {
         let mut work = Some(work);
         loop {
             let flight = {
                 let mut map = self.inflight.lock().expect("single-flight poisoned");
-                match map.entry(key) {
+                match map.entry(key.clone()) {
                     std::collections::hash_map::Entry::Occupied(entry) => {
                         let flight = entry.get().clone();
                         drop(map);
