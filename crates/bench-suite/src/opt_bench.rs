@@ -9,11 +9,9 @@
 //! pinned pre-refactor baseline — so every future PR can compare against
 //! a recorded trajectory instead of folklore.
 //!
-//! Two call sites write the file at the repository root:
-//!
-//! * `spire-cli report` (after the artifact pipeline), and
-//! * the `optimizer_time` criterion bench target (its `--quick` mode is
-//!   what CI runs and uploads).
+//! The `optimizer_time` criterion bench target is the one writer of the
+//! file at the repository root (its `--quick` mode is what CI runs and
+//! uploads); `spire-cli report` leaves it alone.
 
 use std::time::Instant;
 

@@ -519,32 +519,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         );
     }
 
-    // The optimizer perf trajectory rides along with every report run:
-    // per-pass wall times and gate throughput, with the pinned
-    // pre-refactor baseline embedded for comparison (quick mode measures
-    // the reduced matrix). Written to the workspace root (resolved from
-    // the build-time manifest path, same as the `optimizer_time` bench,
-    // so both call sites agree wherever the command is run from); never
-    // drift-checked — it is all timings.
-    let repo_root = workspace_root();
-    let opt_report = bench_suite::opt_bench::run(quick);
-    let path = bench_suite::opt_bench::write_json(&opt_report, repo_root)
-        .map_err(|e| format!("writing BENCH_optimizer.json: {e}"))?;
-    match opt_report.headline_speedup() {
-        Some(speedup) => println!(
-            "wrote {} ({} passes; {} at depth {}: {speedup:.1}x vs {} baseline)",
-            path.display(),
-            opt_report.entries.len(),
-            bench_suite::opt_bench::HEADLINE.2,
-            bench_suite::opt_bench::HEADLINE.1,
-            bench_suite::opt_bench::BASELINE_COMMIT,
-        ),
-        None => println!(
-            "wrote {} ({} passes, quick matrix)",
-            path.display(),
-            opt_report.entries.len()
-        ),
-    }
     Ok(())
 }
 

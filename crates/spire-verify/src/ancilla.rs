@@ -37,8 +37,18 @@
 //!
 //! The analysis is a [`GateSink`], so it runs over any gate stream without
 //! materializing it: [`check_ancillas`] replays a circuit, and
-//! [`check_decomposition_ancillas`] replays the Toffoli level the Barenco
-//! decomposition would produce, gate by gate. Each qubit's XOR-set is kept
+//! [`check_decomposition_ancillas_streamed`] replays the Toffoli level the
+//! Barenco decomposition would produce, gate by gate.
+//!
+//! The Toffoli level needs no replay when every gate is a well-formed
+//! argument of its Barenco template: each template restores its ancillae
+//! for every basis state of its controls, hence for every state, so the
+//! stream stays clean by induction. [`check_decomposition_ancillas`]
+//! therefore certifies each `(kind, arity)` template once per process,
+//! with the analysis below on fresh symbolic controls, and only scans the
+//! circuit's gate arities ([`ArityScan`]); a circuit with a template that
+//! fails certification falls back to the exact replay. Each qubit's
+//! XOR-set is kept
 //! sorted together with a 64-bit XOR of its terms' hashes, so an update
 //! costs a merge proportional to the sets involved (a single product term
 //! is a binary-search insert or remove in place) plus an O(1) hash update.
@@ -46,11 +56,12 @@
 //! looked up by that hash and confirmed against the stored set, so a hash
 //! collision can never identify two different values.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Mutex;
 
 use qcirc::decompose::{ancillas_needed, emit_toffoli_level_view};
-use qcirc::{Circuit, Gate, GateKind, GateSink, GateView, Qubit};
+use qcirc::{Circuit, Gate, GateHistogram, GateKind, GateSink, GateView, Qubit};
 
 use crate::codes;
 use crate::diag::Diagnostic;
@@ -565,18 +576,45 @@ pub fn check_ancillas(circuit: &Circuit, spec: &AncillaSpec) -> Vec<Diagnostic> 
 /// Run the ancilla-discipline analysis over the Toffoli level of an MCX
 /// circuit, on the ancillae the Barenco decomposition adds.
 ///
+/// When every template arity in the circuit certifies, the decomposition
+/// provably returns every ancilla to |0⟩ (see [`ArityScan`] for the
+/// argument) and this returns nothing without replaying the stream.
+/// Otherwise it returns exactly what
+/// [`check_decomposition_ancillas_streamed`] returns. Like
+/// [`check_ancillas`], returns nothing for a circuit whose packed
+/// representation fails [`Circuit::audit_raw`].
+pub fn check_decomposition_ancillas(circuit: &Circuit) -> Vec<Diagnostic> {
+    ArityScan::of(circuit).decomposition_ancillas()
+}
+
+/// The exact streamed check of the decomposition ancillae: the fallback of
+/// [`check_decomposition_ancillas`].
+///
 /// The Toffoli stream of [`qcirc::decompose::mcx_to_toffoli`] is replayed
 /// gate by gate and never materialized. Its width is the circuit's width
 /// plus [`ancillas_needed`], and each added qubit `q` is labelled
 /// `"decomposition ancilla {q}"`; the circuit's own qubits are opaque
 /// inputs here (check its scratch region with [`check_ancillas`]). Gate
-/// indices in diagnostics count Toffoli-level gates. Like
-/// [`check_ancillas`], returns nothing for a circuit whose packed
-/// representation fails [`Circuit::audit_raw`].
-pub fn check_decomposition_ancillas(circuit: &Circuit) -> Vec<Diagnostic> {
+/// indices in diagnostics count Toffoli-level gates. Returns nothing for a
+/// circuit whose packed representation fails [`Circuit::audit_raw`].
+pub fn check_decomposition_ancillas_streamed(circuit: &Circuit) -> Vec<Diagnostic> {
     if !circuit.audit_raw().is_empty() {
         return Vec::new();
     }
+    stream_templates(circuit, barenco)
+}
+
+/// The Barenco decomposition of one gate, as the checks replay it.
+fn barenco(view: GateView<'_>, ancilla_base: Qubit, sink: &mut Analysis<'_>) {
+    emit_toffoli_level_view(view, ancilla_base, sink);
+}
+
+/// Replay `circuit` through `emit` (one gate at a time, ancillae from the
+/// circuit's width) into the analysis, over the decomposition ancillae.
+fn stream_templates<E>(circuit: &Circuit, emit: E) -> Vec<Diagnostic>
+where
+    E: Fn(GateView<'_>, Qubit, &mut Analysis<'_>),
+{
     let extra = ancillas_needed(circuit);
     if extra == 0 {
         return Vec::new();
@@ -588,9 +626,157 @@ pub fn check_decomposition_ancillas(circuit: &Circuit) -> Vec<Diagnostic> {
     }
     Analysis::run((base + extra) as usize, &spec, |sink| {
         for view in circuit {
-            emit_toffoli_level_view(view, base, sink);
+            emit(view, base, sink);
         }
     })
+}
+
+/// The number of ancillae the template of a `kind` gate with `arity`
+/// controls computes into; zero for a gate that is its own decomposition.
+fn template_ancillas(kind: GateKind, arity: usize) -> usize {
+    match kind {
+        GateKind::Mcx => arity.saturating_sub(2),
+        GateKind::Mch => arity.saturating_sub(1),
+        _ => 0,
+    }
+}
+
+/// Whether `emit`'s template for a `kind` gate with `arity` controls
+/// returns its ancillae to |0⟩.
+///
+/// The template is analysed once, with controls `0..arity` and target
+/// `arity` as fresh symbolic inputs and its ancillae right after them: it
+/// certifies when the analysis reports nothing. Any gate the scan admits
+/// is this template up to a renaming of distinct qubits, so the verdict
+/// holds for it on every basis state of its controls.
+fn certify_template<E>(kind: GateKind, arity: usize, emit: E) -> bool
+where
+    E: Fn(GateView<'_>, Qubit, &mut Analysis<'_>),
+{
+    let controls: Vec<Qubit> = (0..arity as Qubit).collect();
+    let target = arity as Qubit;
+    let base = target + 1;
+    let width = base as usize + template_ancillas(kind, arity);
+    let spec = AncillaSpec::range(base, width as Qubit, "template ancilla");
+    let view = GateView {
+        kind,
+        controls: &controls,
+        target,
+    };
+    Analysis::run(width, &spec, |sink| emit(view, base, sink)).is_empty()
+}
+
+/// Certification verdicts of the Barenco templates by `(is MCH, arity)`,
+/// filled on first use: each template is analysed once per process.
+static CERTIFIED: Mutex<BTreeMap<(bool, usize), bool>> = Mutex::new(BTreeMap::new());
+
+/// [`certify_template`] for the Barenco decomposition, memoized.
+fn barenco_certified(kind: GateKind, arity: usize) -> bool {
+    let key = (kind == GateKind::Mch, arity);
+    let mut table = CERTIFIED
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    *table
+        .entry(key)
+        .or_insert_with(|| certify_template(kind, arity, barenco))
+}
+
+/// One pass over an MCX-level circuit's gates: their arity histogram.
+///
+/// A gate is an argument the Barenco template is certified for when its
+/// controls are strictly increasing, its target is not a control, and
+/// every operand is below the circuit's width (where the decomposition
+/// ancillae start). These are per-gate invariants of the packed
+/// representation, and the scan reads a circuit only after
+/// [`Circuit::audit_raw`] has checked them on every gate. So on a circuit
+/// it reads, each gate's Toffoli-level expansion touches the decomposition
+/// ancillae only through its own template, which finds them at |0⟩ and,
+/// once certified, leaves them at |0⟩. A circuit that fails the audit is
+/// not read: every check on it reports nothing, as the streamed check
+/// does, and the well-formedness audit reports the defect.
+#[derive(Debug, Clone)]
+pub struct ArityScan<'c> {
+    circuit: &'c Circuit,
+    /// Whether the circuit passed [`Circuit::audit_raw`].
+    readable: bool,
+    histogram: GateHistogram,
+    phase_gates: u64,
+}
+
+impl<'c> ArityScan<'c> {
+    /// Audit `circuit`, then scan it once if it passes.
+    pub fn of(circuit: &'c Circuit) -> ArityScan<'c> {
+        let mut scan = ArityScan {
+            circuit,
+            readable: circuit.audit_raw().is_empty(),
+            histogram: GateHistogram::new(),
+            phase_gates: 0,
+        };
+        if scan.readable {
+            for view in circuit {
+                match view.kind {
+                    GateKind::Mcx => scan.histogram.add_mcx(view.controls.len(), 1),
+                    GateKind::Mch => scan.histogram.add_mch(view.controls.len(), 1),
+                    _ => scan.phase_gates += 1,
+                }
+            }
+        }
+        scan
+    }
+
+    /// The `verify/cost-model-mismatch` check of
+    /// [`check_cost_model`](crate::cost::check_cost_model) on this scan:
+    /// `model` must equal the scanned histogram, and the stream must hold
+    /// no phase gate. Returns nothing for a circuit that fails
+    /// [`Circuit::audit_raw`].
+    pub fn cost_model(&self, model: &GateHistogram) -> Vec<Diagnostic> {
+        if !self.readable {
+            return Vec::new();
+        }
+        crate::cost::compare(model, &self.histogram, self.phase_gates)
+    }
+
+    /// Whether [`ArityScan::decomposition_ancillas`] answers without a
+    /// replay: the circuit passed the audit and every template arity in it
+    /// certifies.
+    pub fn certified(&self) -> bool {
+        self.certified_by(barenco_certified)
+    }
+
+    /// The decomposition-ancilla diagnostics of [`check_decomposition_ancillas`].
+    pub fn decomposition_ancillas(&self) -> Vec<Diagnostic> {
+        self.decomposition_ancillas_by(barenco, barenco_certified)
+    }
+
+    fn certified_by(&self, certified: impl Fn(GateKind, usize) -> bool) -> bool {
+        let mcx = self
+            .histogram
+            .mcx_counts()
+            .map(|(arity, _)| (GateKind::Mcx, arity));
+        let mch = self
+            .histogram
+            .mch_counts()
+            .map(|(arity, _)| (GateKind::Mch, arity));
+        self.readable
+            && mcx
+                .chain(mch)
+                .filter(|&(kind, arity)| template_ancillas(kind, arity) > 0)
+                .all(|(kind, arity)| certified(kind, arity))
+    }
+
+    fn decomposition_ancillas_by<E>(
+        &self,
+        emit: E,
+        certified: impl Fn(GateKind, usize) -> bool,
+    ) -> Vec<Diagnostic>
+    where
+        E: Fn(GateView<'_>, Qubit, &mut Analysis<'_>),
+    {
+        if !self.readable || self.certified_by(certified) {
+            return Vec::new();
+        }
+        stream_templates(self.circuit, emit)
+    }
 }
 
 #[cfg(test)]
@@ -784,7 +970,7 @@ mod tests {
     }
 
     #[test]
-    fn decomposition_ancillas_are_checked_on_the_toffoli_stream() {
+    fn decomposition_ancillas_are_certified_per_template() {
         // Clean: the V-chain restores its ancilla. No chain, no check.
         let mut c = Circuit::new(5);
         c.push(Gate::mcx(vec![0, 1, 2], 3));
@@ -793,13 +979,78 @@ mod tests {
         small.push(Gate::toffoli(0, 1, 2));
         assert!(check_decomposition_ancillas(&small).is_empty());
 
-        // A ⊤ control makes the chain ancilla (qubit 4 = width) ⊤ as well.
+        // A ⊤ control makes the replayed chain ancilla (qubit 4 = width) ⊤
+        // as well, but the certified template restores it on every basis
+        // state, hence on every state: no warning.
         let mut c = Circuit::new(4);
         c.push(Gate::h(0));
         c.push(Gate::mcx(vec![0, 1, 2], 3));
-        let diags = check_decomposition_ancillas(&c);
+        assert!(ArityScan::of(&c).certified());
+        assert!(check_decomposition_ancillas(&c).is_empty());
+        let streamed = check_decomposition_ancillas_streamed(&c);
+        assert_eq!(streamed.len(), 1);
+        assert_eq!(streamed[0].code, codes::ANCILLA_INDETERMINATE);
+        assert!(streamed[0].message.starts_with("decomposition ancilla 4 "));
+    }
+
+    #[test]
+    fn barenco_templates_certify() {
+        for arity in 3..=32 {
+            assert!(barenco_certified(GateKind::Mcx, arity), "MCX with {arity}");
+        }
+        for arity in 2..=32 {
+            assert!(barenco_certified(GateKind::Mch, arity), "MCH with {arity}");
+        }
+    }
+
+    /// The Barenco decomposition with the last uncompute Toffoli of every
+    /// MCX template dropped: the template leaks its first chain ancilla.
+    fn leaky(view: GateView<'_>, ancilla_base: Qubit, sink: &mut Analysis<'_>) {
+        let mut gates: Vec<Gate> = Vec::new();
+        emit_toffoli_level_view(view, ancilla_base, &mut gates);
+        if view.kind == GateKind::Mcx && view.controls.len() >= 3 {
+            gates.pop();
+        }
+        for gate in gates {
+            sink.push_gate(gate);
+        }
+    }
+
+    #[test]
+    fn leaky_template_fails_certification_and_falls_back() {
+        assert!(!certify_template(GateKind::Mcx, 3, leaky));
+        assert!(certify_template(GateKind::Mch, 3, leaky));
+
+        let mut c = Circuit::new(5);
+        c.push(Gate::mcx(vec![0, 1, 2], 3));
+        let scan = ArityScan::of(&c);
+        assert!(scan.certified(), "the real template certifies");
+        let diags = scan
+            .decomposition_ancillas_by(leaky, |kind, arity| certify_template(kind, arity, leaky));
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, codes::ANCILLA_INDETERMINATE);
-        assert!(diags[0].message.starts_with("decomposition ancilla 4 "));
+        assert_eq!(diags[0].code, codes::LEAKED_ANCILLA);
+        assert!(diags[0].message.starts_with("decomposition ancilla 5 "));
+    }
+
+    #[test]
+    fn malformed_gates_are_not_certified() {
+        // A gate whose target is among its controls, and one with unsorted
+        // controls: neither is a template argument, so neither circuit
+        // certifies, and both answer exactly as the streamed check does
+        // (nothing: the packed-representation audit owns these defects).
+        let mut overlap = Circuit::new(5);
+        overlap.push(Gate::h(0));
+        overlap.push_raw_for_test(GateKind::Mcx, &[0, 1, 2, 3], 3);
+        let mut unsorted = Circuit::new(5);
+        unsorted.push(Gate::h(0));
+        unsorted.push_raw_for_test(GateKind::Mcx, &[2, 0, 1], 3);
+        for c in [&overlap, &unsorted] {
+            let scan = ArityScan::of(c);
+            assert!(!scan.certified());
+            assert_eq!(
+                scan.decomposition_ancillas(),
+                check_decomposition_ancillas_streamed(c)
+            );
+        }
     }
 }

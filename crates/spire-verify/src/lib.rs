@@ -15,8 +15,11 @@
 //! * [`ancilla`] — an exact symbolic dataflow over the permutation fragment
 //!   (X/CX/CCX/MCX, with havoc at Hadamard frontiers) proving each ancilla
 //!   returns to |0⟩ before release, and flagging leaked ancillae and
-//!   use-after-uncompute — on the MCX stream and on the streamed Toffoli
-//!   level of the Barenco decomposition.
+//!   use-after-uncompute — on the MCX stream, and for the Barenco
+//!   decomposition's ancillae by certifying each template once and
+//!   scanning gate arities (with the streamed Toffoli level as fallback).
+//! * [`cost`] — Theorem 5.1 on the emitted circuit: its gate histogram
+//!   equals the cost model's.
 //! * [`tbounds`] — an interval analysis over the Tower core IR predicting
 //!   `[min, max]` T-count per function *before* selection and decomposition,
 //!   cross-checked against actual compiled counts.
@@ -36,12 +39,17 @@
 pub mod ancilla;
 pub mod certify;
 pub mod codes;
+pub mod cost;
 pub mod diag;
 pub mod tbounds;
 pub mod wellformed;
 
-pub use ancilla::{check_ancillas, check_decomposition_ancillas, AncillaSpec};
+pub use ancilla::{
+    check_ancillas, check_decomposition_ancillas, check_decomposition_ancillas_streamed,
+    AncillaSpec, ArityScan,
+};
 pub use certify::{assert_certified, certify_pass};
+pub use cost::check_cost_model;
 pub use diag::{bound_violations, Diagnostic, FunctionBounds, Report, Severity};
 pub use tbounds::{bound_function, TBound};
 pub use wellformed::check_circuit;

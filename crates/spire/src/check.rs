@@ -8,8 +8,8 @@
 //! (deliberately independent of the backend) can see on its own.
 
 use spire_verify::{
-    bound_function, bound_violations, check_ancillas, check_circuit, check_decomposition_ancillas,
-    codes, AncillaSpec, FunctionBounds, Report,
+    bound_function, bound_violations, check_ancillas, check_circuit, codes, AncillaSpec, ArityScan,
+    FunctionBounds, Report,
 };
 use tower::{parse, WordConfig};
 
@@ -44,15 +44,22 @@ pub fn scratch_spec(layout: &Layout) -> AncillaSpec {
 /// Run every circuit-level and IR-level analysis on one compiled function.
 ///
 /// `function` is the name used in the per-function T-bound row. The checks:
-/// structural well-formedness of the emitted MCX stream against the
-/// layout's qubit budget (footprint audit included), ancilla discipline of
-/// the layout's scratch region at the MCX level, ancilla discipline of the
-/// Barenco decomposition ancillae at the Toffoli level (streamed through
-/// the analysis by [`check_decomposition_ancillas`], never materialized),
-/// and the static T-count interval against the compiled count. Both
-/// ancilla checks are skipped when the emitted circuit fails
-/// [`qcirc::Circuit::audit_raw`]; the well-formedness diagnostics report
-/// the defect instead.
+///
+/// * structural well-formedness of the emitted MCX stream against the
+///   layout's qubit budget (footprint audit included);
+/// * ancilla discipline of the layout's scratch region, by the exact
+///   analysis on the MCX stream;
+/// * ancilla discipline of the Barenco decomposition ancillae, from one
+///   [`ArityScan`] of the stream: each template arity is certified once
+///   per process, and only a circuit with an uncertified template is
+///   replayed at the Toffoli level;
+/// * Theorem 5.1: the same scan's histogram must equal the cost model's
+///   [`Compiled::histogram`] (`verify/cost-model-mismatch`);
+/// * the static T-count interval against the compiled count.
+///
+/// The ancilla and cost-model checks are skipped when the emitted circuit
+/// fails [`qcirc::Circuit::audit_raw`]; the well-formedness diagnostics
+/// report the defect instead.
 pub fn check_compiled(compiled: &Compiled, function: &str) -> Report {
     let mut verify_span = spire_trace::span("verify");
     let mut report = Report::default();
@@ -73,9 +80,11 @@ pub fn check_compiled(compiled: &Compiled, function: &str) -> Report {
 
         // At the Toffoli level only the decomposition ancillae are new; the
         // scratch region was already checked exactly on the MCX stream.
+        let scan = ArityScan::of(&circuit);
+        report.diagnostics.extend(scan.decomposition_ancillas());
         report
             .diagnostics
-            .extend(check_decomposition_ancillas(&circuit));
+            .extend(scan.cost_model(&compiled.histogram()));
     }
 
     {
