@@ -9,27 +9,18 @@
 //! measured in orders of magnitude, which is what makes paper-sized
 //! equivalence checking tractable.
 //!
-//! Alongside the criterion timings, the target prints an explicit
-//! gates/sec comparison (the `sim_throughput summary` block) and writes
-//! the machine-readable trajectory `BENCH_sim.json` at the repo root
-//! (warm gates/sec per workload, with the pinned pre-batching baseline;
-//! see `bench_suite::sim_bench`). Pass `--quick` (or set
-//! `SIM_BENCH_QUICK=1`) for the reduced rep counts CI runs and uploads.
+//! The target prints an explicit gates/sec comparison (the
+//! `sim_throughput summary` block) and writes the machine-readable
+//! trajectory `BENCH_sim.json` at the repo root (warm gates/sec per
+//! workload, with the pinned pre-batching baseline; see
+//! `bench_suite::sim_bench`). Pass `--quick` for the reduced rep counts
+//! CI runs and uploads.
 
 use std::time::Instant;
 
 use bench_suite::sim_bench::{self, structured_workload};
-use criterion::{criterion_group, BenchmarkId, Criterion};
-use qcirc::sim::{SparseState, SparseState256, StateVec};
+use qcirc::sim::{SparseState, StateVec};
 use qcirc::Circuit;
-
-fn quick_mode() -> bool {
-    let env_quick = matches!(
-        std::env::var("SIM_BENCH_QUICK").ok().as_deref(),
-        Some(v) if !v.is_empty() && v != "0"
-    );
-    std::env::args().any(|a| a == "--quick") || env_quick
-}
 
 fn run_dense(circuit: &Circuit) -> f64 {
     let mut state = StateVec::basis(circuit.num_qubits(), 0).expect("dense fits");
@@ -39,12 +30,6 @@ fn run_dense(circuit: &Circuit) -> f64 {
 
 fn run_sparse(circuit: &Circuit) -> f64 {
     let mut state = SparseState::basis(circuit.num_qubits(), 0).expect("sparse fits");
-    state.run(circuit).expect("runs");
-    state.norm()
-}
-
-fn run_sparse_wide(circuit: &Circuit) -> f64 {
-    let mut state = SparseState256::basis(circuit.num_qubits(), 0).expect("wide sparse fits");
     state.run(circuit).expect("runs");
     state.norm()
 }
@@ -79,47 +64,9 @@ fn print_summary(n: u32, quick: bool) {
     println!("  speedup: {:>14.1}x", sparse_gps / dense_gps);
 }
 
-fn sim_throughput(c: &mut Criterion) {
-    let quick = quick_mode();
-    print_summary(24, quick);
-
-    let mut group = c.benchmark_group("sim_throughput");
-    group.sample_size(2);
-    let dense_circuit = structured_workload(24);
-    group.bench_with_input(
-        BenchmarkId::new("dense", 24),
-        &dense_circuit,
-        |b, circuit| b.iter(|| run_dense(circuit)),
-    );
-    group.finish();
-
-    let mut group = c.benchmark_group("sim_throughput");
-    group.sample_size(20);
-    for n in [24u32, 40, 60] {
-        let circuit = structured_workload(n);
-        group.bench_with_input(BenchmarkId::new("sparse", n), &circuit, |b, circuit| {
-            b.iter(|| run_sparse(circuit));
-        });
-    }
-    // Past the 64-bit key space: same workload shape on 256-bit keys.
-    for n in [100u32, 192] {
-        let circuit = structured_workload(n);
-        group.bench_with_input(
-            BenchmarkId::new("sparse-wide", n),
-            &circuit,
-            |b, circuit| {
-                b.iter(|| run_sparse_wide(circuit));
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, sim_throughput);
-
 fn main() {
-    benches();
-    let quick = quick_mode();
+    let quick = std::env::args().any(|a| a == "--quick");
+    print_summary(24, quick);
     let report = sim_bench::run(quick);
     // Bench binaries run with the package dir as cwd; write at the
     // workspace root, next to the other BENCH_*.json trajectories.

@@ -13,9 +13,12 @@
 //!   cache across the experiment matrix on scoped worker threads, then
 //!   regenerates every artifact (`spire-cli report` is a thin shell over
 //!   it; `docs/EXPERIMENTS.md` is the artifact index).
-//! * [`opt_bench`] — the optimizer perf trajectory: per-pass wall times
-//!   and gate throughput over the headline benchmarks, serialized as
-//!   `BENCH_optimizer.json` with the pinned pre-refactor baseline.
+//! * [`sim_bench`] — the simulator throughput trajectory: warm gates/sec
+//!   per workload, serialized as `BENCH_sim.json` with the pinned
+//!   pre-batching baseline by the `sim_throughput` bench.
+//!
+//! Timings of the optimizer passes, the compiler stages and the report
+//! pipeline are measured by the repository's benchmark, `perfbench/`.
 //!
 //! # Example
 //!
@@ -34,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod opt_bench;
 pub mod polyfit;
 pub mod programs;
 pub mod report;

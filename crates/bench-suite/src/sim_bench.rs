@@ -17,7 +17,8 @@
 //! cold-start cost, not simulation cost — the same distinction the
 //! serving load test draws with its warmup section.
 //!
-//! The `sim_throughput` criterion bench target writes the file at the
+//! The `sim_throughput` bench (a plain `main`, run with `cargo bench -p
+//! bench-suite --bench sim_throughput`) writes the file at the
 //! repository root; its `--quick` mode is what CI runs and uploads.
 
 use std::time::{Duration, Instant};

@@ -4,6 +4,8 @@
 //! into the host. Both probes degrade to `"unknown"` — a tarball build
 //! without `.git` or a stripped environment must still compile.
 
+use std::fs;
+use std::path::Path;
 use std::process::Command;
 
 fn probe(cmd: &str, args: &[&str]) -> String {
@@ -24,6 +26,26 @@ fn main() {
     let rustc_version = probe(&rustc, &["--version"]);
     println!("cargo:rustc-env=SPIRE_BUILD_GIT_HASH={git_hash}");
     println!("cargo:rustc-env=SPIRE_BUILD_RUSTC={rustc_version}");
-    // Re-run when HEAD moves so the hash stays honest in dev loops.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    watch_git_head();
+}
+
+/// Re-run when the commit moves so the hash stays honest in dev loops.
+/// `.git/HEAD` usually holds `ref: refs/heads/<branch>` and does not
+/// change on commit; the ref file it names (or `packed-refs`, where
+/// `git gc` moves it) does. Only existing paths are declared: Cargo
+/// reruns a script on every build while a declared path is missing, so
+/// a build without `.git` watches `build.rs` alone.
+fn watch_git_head() {
+    println!("cargo:rerun-if-changed=build.rs");
+    let git = Path::new("../../.git");
+    let Ok(head) = fs::read_to_string(git.join("HEAD")) else {
+        return;
+    };
+    let mut watched = vec![git.join("HEAD"), git.join("packed-refs")];
+    if let Some(name) = head.strip_prefix("ref: ") {
+        watched.push(git.join(name.trim()));
+    }
+    for path in watched.iter().filter(|path| path.exists()) {
+        println!("cargo:rerun-if-changed={}", path.display());
+    }
 }

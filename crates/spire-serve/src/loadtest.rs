@@ -45,8 +45,8 @@
 //! p50/p90/p99 over every recorded latency) together with the server's
 //! own final `/metrics` document (cache hit rate, single-flight
 //! counters), and is written as `BENCH_serve.json` — the serving
-//! analogue of `BENCH_optimizer.json`, a perf trajectory CI uploads on
-//! every run.
+//! analogue of `BENCH_sim.json`, a perf trajectory CI uploads on every
+//! run.
 
 use std::io;
 use std::net::TcpStream;

@@ -217,9 +217,11 @@ fn parallel_run_matches_sequential_on_generated_programs() {
 
 /// A crafted H-heavy wide circuit whose support is guaranteed to cross
 /// the parallel threshold: 14 Hadamards spread across a 200-qubit
-/// register (support 2¹⁴ = 16384), entangled by a CNOT ladder, then
-/// partially interfered. Parallel and sequential runs must agree and the
-/// norm must survive the shard merge.
+/// register, entangled by CNOTs, then a second Hadamard on 7 of them.
+/// Each of those 7 is entangled with its CNOT target, so the second
+/// Hadamard doubles the support instead of interfering: the final state
+/// has 2²¹ = 2,097,152 amplitudes. Parallel and sequential runs must
+/// agree and the norm must survive the shard merge.
 #[test]
 fn parallel_run_matches_sequential_on_wide_support_heavy_circuit() {
     let width = 200u32;
