@@ -487,10 +487,12 @@ fn compile_endpoint(state: &AppState, request: &Request) -> Result<String, ApiEr
     // by `/check` or `/simulate`). The document is memoized: building
     // one re-emits the circuit and renders its `.qc` text, milliseconds
     // of CPU a cache *hit* must not pay per request.
-    let (doc, served) = if let Some(compiled) = state.compiler.cache().lookup(key) {
-        let doc = state.doc(memo_key, || compile_doc(state, &compiled, key));
+    let (doc, served) = if let Some(compiled) = state.compiler.lookup(key) {
+        let doc = state
+            .docs
+            .get_or_insert_with(memo_key, || compile_doc(state, &compiled, key));
         (doc, "cache")
-    } else if let Some(doc) = state.memo_get(memo_key) {
+    } else if let Some(doc) = state.docs.get(&memo_key) {
         // 2: a document decoded from an earlier disk hit (or memoized by
         // an earlier tier-1 hit whose live compilation has since been
         // dropped).
@@ -507,7 +509,9 @@ fn compile_endpoint(state: &AppState, request: &Request) -> Result<String, ApiEr
         if served == Served::Led && spire_trace::is_active() {
             let _ = spire::check_compiled(&compiled, &params.entry);
         }
-        let doc = state.doc(memo_key, || compile_doc(state, &compiled, key));
+        let doc = state
+            .docs
+            .get_or_insert_with(memo_key, || compile_doc(state, &compiled, key));
         (doc, served_label(served))
     };
     let response = doc.compile_body(served, include_qc);
@@ -558,7 +562,7 @@ fn disk_doc(state: &AppState, key: u128) -> Option<Doc> {
                 disk.quarantine(key);
                 return None;
             };
-            Some(state.memo_insert((key, DocKind::Compile), doc))
+            Some(state.docs.insert((key, DocKind::Compile), doc))
         }
     }
 }
@@ -718,9 +722,11 @@ fn check_endpoint(state: &AppState, request: &Request) -> Result<String, ApiErro
     // the content address pins — memoize the serialized report so a warm
     // `/check` costs a lookup, not a re-verification, and concurrent
     // cold ones verify once.
-    let doc = state.doc((key.value(), DocKind::Check), || {
-        Doc::check(&spire::check_compiled(&compiled, &params.entry).to_json())
-    });
+    let doc = state
+        .docs
+        .get_or_insert_with((key.value(), DocKind::Check), || {
+            Doc::check(&spire::check_compiled(&compiled, &params.entry).to_json())
+        });
     Ok(doc.check_body(key, served_label(served)))
 }
 
@@ -771,13 +777,10 @@ fn benchmarks_endpoint(state: &AppState, request: &Request) -> Result<String, Ap
 }
 
 fn metrics_endpoint(state: &AppState, request: &Request) -> Response {
-    let cache = state.compiler.cache().stats();
+    let cache = state.compiler.stats();
     let flights = state.compiler.flight_stats();
     let disk = state.disk().map(spire::DiskStore::stats);
-    let (memo_bytes, memo_evictions) = {
-        let memo = state.docs.lock().expect("document memo poisoned");
-        (memo.resident_bytes(), memo.evictions())
-    };
+    let memo = state.docs.stats();
     let health = crate::metrics::ServeHealth {
         breaker: state.disk().map(|_| state.breaker.snapshot()),
         faults: state
@@ -785,8 +788,8 @@ fn metrics_endpoint(state: &AppState, request: &Request) -> Response {
             .map(spire::DiskStore::faults)
             .filter(|faults| faults.is_active())
             .map(|faults| (faults.label().to_string(), faults.stats())),
-        memo_bytes,
-        memo_evictions,
+        memo_bytes: memo.resident_bytes,
+        memo_evictions: memo.evictions,
     };
     match request.query_param("format") {
         Some("prometheus") => {

@@ -44,10 +44,10 @@
 //!   traced-vs-untraced throughput delta, and retry / worker-failure
 //!   accounting).
 //!
-//! The compile path sits on [`spire::SingleFlightCache`]: the
-//! content-addressed compile cache (lock-striped) with a single-flight
-//! layer, so a thundering herd of identical requests costs exactly one
-//! compilation. With [`ServerConfig::cache_dir`] set, `/compile`
+//! The compile path sits on [`spire::CompileCache`]: a content-addressed
+//! [`spire::Memo`] with a single-flight layer, so a thundering herd of
+//! identical requests costs exactly one compilation. Response documents
+//! live in a second memo. With [`ServerConfig::cache_dir`] set, `/compile`
 //! results additionally persist to an append-only content-addressed
 //! store ([`spire::DiskStore`]), so a restarted server answers
 //! previously-compiled requests from disk (`"served": "disk"`) without

@@ -40,8 +40,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use spire::cache::BudgetedMap;
-use spire::{DiskStore, FaultSchedule, SingleFlight, SingleFlightCache};
+use spire::{CompileCache, DiskStore, FaultSchedule, Memo};
 use spire_trace::{derive_seed, AttrValue, TraceCtx};
 
 use crate::api::{Doc, DocKind};
@@ -152,8 +151,8 @@ pub fn default_threads() -> usize {
 /// Shared state every request handler sees.
 #[derive(Debug)]
 pub struct AppState {
-    /// The compile path: content-addressed cache + single-flight layer.
-    pub compiler: SingleFlightCache,
+    /// The compile path: the content-addressed compile memo.
+    pub compiler: CompileCache,
     /// Service counters and latency histograms.
     pub metrics: Metrics,
     /// Circuit breaker guarding the disk tier: consecutive device
@@ -164,11 +163,9 @@ pub struct AppState {
     /// that get served and memoized on first build (or decoded from the
     /// disk tier on a warm restart). Building one re-emits the circuit
     /// and renders its `.qc` text, or re-runs the static analyses —
-    /// CPU a warm request must not pay again.
-    pub(crate) docs: Mutex<BudgetedMap<(u128, DocKind), Doc>>,
-    /// Coalesces concurrent builds of one document, so N cold requests
-    /// for a key build it once.
-    doc_flight: SingleFlight<Doc, (u128, DocKind)>,
+    /// CPU a warm request must not pay again, and N cold requests for
+    /// a key build once.
+    pub(crate) docs: Memo<(u128, DocKind), Doc>,
     /// The persistent content-addressed artifact store, when enabled.
     disk: Option<DiskStore>,
     /// The N slowest traced requests, behind `GET /debug/slow`.
@@ -218,11 +215,10 @@ impl AppState {
             None => None,
         };
         Ok(AppState {
-            compiler: SingleFlightCache::with_budget(half),
+            compiler: CompileCache::with_budget(half),
             metrics: Metrics::new(),
             breaker: CircuitBreaker::new(config.disk_failure_threshold, config.disk_cooldown),
-            docs: Mutex::new(BudgetedMap::new(half)),
-            doc_flight: SingleFlight::new(),
+            docs: Memo::new(half, Doc::weight),
             disk,
             slow: SlowLog::new(config.slow_log),
             trace_seed: config.trace_seed,
@@ -258,39 +254,6 @@ impl AppState {
     /// The persistent artifact store, when configured.
     pub fn disk(&self) -> Option<&DiskStore> {
         self.disk.as_ref()
-    }
-
-    /// The memoized document under `key`, if resident.
-    pub(crate) fn memo_get(&self, key: (u128, DocKind)) -> Option<Doc> {
-        self.docs
-            .lock()
-            .expect("document memo poisoned")
-            .get(&key)
-            .cloned()
-    }
-
-    /// Memoize `doc` under `key`, returning the resident document (the
-    /// first of two racing inserts).
-    pub(crate) fn memo_insert(&self, key: (u128, DocKind), doc: Doc) -> Doc {
-        let weight = doc.weight();
-        self.docs
-            .lock()
-            .expect("document memo poisoned")
-            .insert(key, doc, weight)
-    }
-
-    /// The document under `key`, built by `build` on a memo miss — once
-    /// across concurrent callers, who wait for the builder's result.
-    pub(crate) fn doc(&self, key: (u128, DocKind), build: impl FnOnce() -> Doc) -> Doc {
-        if let Some(doc) = self.memo_get(key) {
-            return doc;
-        }
-        let (doc, _) = self.doc_flight.run(key, || {
-            // A flight that finished after our miss has memoized it.
-            self.memo_get(key)
-                .unwrap_or_else(|| self.memo_insert(key, build()))
-        });
-        doc
     }
 }
 
@@ -944,28 +907,39 @@ fn error_response(status: u16, code: &str, message: &str) -> Response {
 mod tests {
     use super::*;
     use qcirc::json::Json;
+    use spire::{CacheKey, CompileOptions};
+    use tower::WordConfig;
 
-    #[test]
-    fn concurrent_cold_checks_verify_once() {
-        const N: usize = 6;
-        let state = AppState::new();
-        let bench = bench_suite::programs::all_benchmarks()
+    fn length() -> bench_suite::programs::Benchmark {
+        bench_suite::programs::all_benchmarks()
             .into_iter()
             .find(|b| b.name == "length")
-            .expect("length benchmark");
+            .expect("length benchmark")
+    }
+
+    /// A request for `length` at depth 4 with default options.
+    fn request(method: &str, path: &str) -> Request {
+        let bench = length();
         let body = Json::obj()
             .field("source", bench.source.as_str())
             .field("entry", bench.entry)
             .field("depth", 4)
             .build()
             .to_string();
-        let request = Request {
-            method: "POST".to_string(),
-            path: "/check".to_string(),
+        Request {
+            method: method.to_string(),
+            path: path.to_string(),
             query: String::new(),
             headers: Vec::new(),
             body: body.into_bytes(),
-        };
+        }
+    }
+
+    #[test]
+    fn concurrent_cold_checks_verify_once() {
+        const N: usize = 6;
+        let state = AppState::new();
+        let request = request("POST", "/check");
         let barrier = std::sync::Barrier::new(N);
         let bodies: Vec<String> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..N)
@@ -993,6 +967,65 @@ mod tests {
             .collect();
         assert!(normalized.iter().all(|b| *b == normalized[0]));
         assert!(normalized[0].contains("\"clean\":true"));
-        assert_eq!(state.doc_flight.stats().led, 1, "the verifier ran once");
+        assert_eq!(state.docs.flight_stats().led, 1, "the verifier ran once");
+    }
+
+    #[test]
+    fn compile_then_check_compiles_once_under_a_tight_budget() {
+        // The compile half of the budget holds two compilations of this
+        // size, so the one `/compile` stores stays for `/check`. (A
+        // budget split into 16 lock stripes would hold none.)
+        let bench = length();
+        let approx = spire::compile_source(
+            &bench.source,
+            bench.entry,
+            4,
+            WordConfig::paper_default(),
+            &CompileOptions::spire(),
+        )
+        .unwrap()
+        .approx_bytes();
+        let state = AppState::from_config(&ServerConfig {
+            cache_bytes: Some(4 * approx),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        for path in ["/compile", "/check"] {
+            let response = crate::api::handle(&state, &request("POST", path));
+            assert_eq!(response.status, 200, "{path}");
+        }
+        let stats = state.compiler.stats();
+        assert_eq!(stats.misses, 1, "/check reuses the compilation: {stats:?}");
+    }
+
+    #[test]
+    fn panicking_build_leaves_the_memos_answering() {
+        let state = AppState::new();
+        let bench = length();
+        let key = CacheKey::new(
+            &bench.source,
+            bench.entry,
+            4,
+            WordConfig::paper_default(),
+            &CompileOptions::spire(),
+        );
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            state
+                .docs
+                .get_or_insert_with((key.value(), DocKind::Check), || panic!("build dies"))
+        }));
+        assert!(died.is_err());
+        for query in ["", "format=prometheus"] {
+            let mut metrics = request("GET", "/metrics");
+            metrics.query = query.to_string();
+            assert_eq!(crate::api::handle(&state, &metrics).status, 200, "{query}");
+        }
+        // The next request for that document builds it.
+        let response = crate::api::handle(&state, &request("POST", "/check"));
+        assert_eq!(response.status, 200);
+        assert!(String::from_utf8(response.body)
+            .unwrap()
+            .contains("\"clean\":true"));
+        assert_eq!(state.docs.flight_stats().led, 2);
     }
 }

@@ -61,7 +61,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
 use qcirc::decompose::{ancillas_needed, emit_toffoli_level_view};
-use qcirc::{Circuit, Gate, GateHistogram, GateKind, GateSink, GateView, Qubit};
+use qcirc::{Circuit, Gate, GateHistogram, GateKind, GateSink, GateView, Qubit, RawDefect};
 
 use crate::codes;
 use crate::diag::Diagnostic;
@@ -566,6 +566,11 @@ pub fn check_ancillas(circuit: &Circuit, spec: &AncillaSpec) -> Vec<Diagnostic> 
     if !circuit.audit_raw().is_empty() {
         return Vec::new();
     }
+    scratch_ancillas(circuit, spec)
+}
+
+/// [`check_ancillas`] on a circuit that passed [`Circuit::audit_raw`].
+fn scratch_ancillas(circuit: &Circuit, spec: &AncillaSpec) -> Vec<Diagnostic> {
     Analysis::run(circuit.num_qubits() as usize, spec, |sink| {
         for view in circuit {
             sink.push_view(view);
@@ -706,9 +711,16 @@ pub struct ArityScan<'c> {
 impl<'c> ArityScan<'c> {
     /// Audit `circuit`, then scan it once if it passes.
     pub fn of(circuit: &'c Circuit) -> ArityScan<'c> {
+        ArityScan::audited(circuit, &circuit.audit_raw())
+    }
+
+    /// Scan `circuit` once if it passes the audit whose findings are
+    /// `defects`, which must be `circuit.audit_raw()`: for a caller that
+    /// audits once for several checks.
+    pub fn audited(circuit: &'c Circuit, defects: &[RawDefect]) -> ArityScan<'c> {
         let mut scan = ArityScan {
             circuit,
-            readable: circuit.audit_raw().is_empty(),
+            readable: defects.is_empty(),
             histogram: GateHistogram::new(),
             phase_gates: 0,
         };
@@ -741,6 +753,15 @@ impl<'c> ArityScan<'c> {
     /// certifies.
     pub fn certified(&self) -> bool {
         self.certified_by(barenco_certified)
+    }
+
+    /// The diagnostics of [`check_ancillas`] on the scanned circuit,
+    /// without auditing it again.
+    pub fn ancillas(&self, spec: &AncillaSpec) -> Vec<Diagnostic> {
+        if !self.readable {
+            return Vec::new();
+        }
+        scratch_ancillas(self.circuit, spec)
     }
 
     /// The decomposition-ancilla diagnostics of [`check_decomposition_ancillas`].

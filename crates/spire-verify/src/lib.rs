@@ -52,4 +52,4 @@ pub use certify::{assert_certified, certify_pass};
 pub use cost::check_cost_model;
 pub use diag::{bound_violations, Diagnostic, FunctionBounds, Report, Severity};
 pub use tbounds::{bound_function, TBound};
-pub use wellformed::check_circuit;
+pub use wellformed::{check_audited_circuit, check_circuit};

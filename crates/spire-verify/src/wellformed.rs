@@ -20,7 +20,16 @@ use crate::diag::Diagnostic;
 /// `num_qubits` accounting. Returns one diagnostic per defect, in gate-stream
 /// order.
 pub fn check_circuit(circuit: &Circuit, allocated_width: Option<u32>) -> Vec<Diagnostic> {
-    let defects = circuit.audit_raw();
+    check_audited_circuit(circuit, &circuit.audit_raw(), allocated_width)
+}
+
+/// [`check_circuit`] given the circuit's [`Circuit::audit_raw`] defects,
+/// for a caller that audits once for several checks.
+pub fn check_audited_circuit(
+    circuit: &Circuit,
+    defects: &[RawDefect],
+    allocated_width: Option<u32>,
+) -> Vec<Diagnostic> {
     let mut diags: Vec<Diagnostic> = defects.iter().map(defect_to_diagnostic).collect();
 
     // The width sweep reads gate views, which assume an intact arena; skip it

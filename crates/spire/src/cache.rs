@@ -12,36 +12,23 @@
 //!
 //! The cache is thread-safe and designed for two fan-out shapes: the
 //! batch parallelism of `bench-suite`'s runner and the request
-//! parallelism of `spire-serve`'s event loop. Lookups take a
-//! short-lived lock, compilation itself runs outside the lock (two
-//! threads racing on the same key may both compile; the duplicate
-//! insert is benign and the results are identical because compilation
-//! is deterministic), and hit and miss counts are observable through
-//! [`CompileCache::stats`]. Compilation errors are *not* cached; a
-//! failing configuration fails again on the next call.
-//!
-//! Internally the map is **lock-striped**: entries are sharded into
-//! [`SHARDS`] independent segments by the high bits of the
-//! content-address, each behind its own mutex, so cache *hits* on
-//! different keys never contend — under the serving workload nearly
-//! every request is a hit, and a single mutex would serialize the whole
-//! fleet of worker threads through one cache line. Each shard carries
-//! its own hit/miss counters (updated under that shard's lock, so a
-//! shard's counters are always coherent with its entries);
-//! [`CompileCache::stats`] locks *all* shards before reading any of
-//! them, keeping the full snapshot consistent.
+//! parallelism of `spire-serve`'s event loop. It is one [`Memo`]: a
+//! [`BudgetedMap`] and its hit/miss counters behind one mutex, plus a
+//! [`SingleFlight`], so concurrent misses on one key compile once and
+//! the rest wait for that result. Compilation runs outside the lock.
+//! Hit and miss counts are observable through [`CompileCache::stats`].
+//! Compilation errors reach every waiter of the failing flight but are
+//! *not* cached; a failing configuration fails again on the next call.
 //!
 //! A cache may carry a **byte budget**
 //! ([`CompileCache::with_budget`]): sustained distinct-source traffic
-//! must degrade to cache misses, not unbounded memory growth. The
-//! budget is split evenly across the shards, each shard accounts the
-//! approximate resident bytes of its entries
-//! ([`Compiled::approx_bytes`]), and going over budget evicts via the
-//! **second-chance (clock)** policy of [`BudgetedMap`]: entries cycle
-//! through a queue with a referenced bit that any hit sets; an
-//! unreferenced entry at the front is evicted, a referenced one is unset
-//! and sent to the back. [`BudgetedMap`] is the workspace's one
-//! budgeted map: `spire-serve` keeps its response-document memo in one.
+//! must degrade to cache misses, not unbounded memory growth. Each entry
+//! is charged its [`Compiled::approx_bytes`], and going over budget
+//! evicts via the **second-chance (clock)** policy of [`BudgetedMap`]:
+//! entries cycle through a queue with a referenced bit that any hit
+//! sets; an unreferenced entry at the front is evicted, a referenced one
+//! is unset and sent to the back. [`Memo`] is the workspace's one
+//! memo: `spire-serve` keeps its response documents in a second one.
 //! Eviction changes only *which* keys miss — a budgeted cache returns
 //! the same compilations an unbudgeted one would, because compilation
 //! is deterministic (`cache_props.rs` pins this equivalence).
@@ -65,14 +52,16 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use qcirc::hash::Fnv1a128;
 use tower::WordConfig;
 
 use crate::error::SpireError;
+use crate::flight::{FlightStats, Served, SingleFlight};
 use crate::layout::AllocPolicy;
 use crate::pipeline::{compile_source, CompileOptions, Compiled};
 
@@ -125,13 +114,6 @@ impl CacheKey {
     pub fn value(&self) -> u128 {
         self.0
     }
-
-    /// The index of the cache shard this key lives in: the hash's high
-    /// bits, so striping composes with any downstream use of the low
-    /// bits (e.g. `HashMap` bucketing inside a shard).
-    pub fn shard(&self) -> usize {
-        (self.0 >> (128 - SHARD_BITS)) as usize
-    }
 }
 
 impl fmt::Display for CacheKey {
@@ -140,7 +122,7 @@ impl fmt::Display for CacheKey {
     }
 }
 
-/// Counters observed on a [`CompileCache`].
+/// Counters observed on a [`Memo`] (and so on a [`CompileCache`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests answered from the cache.
@@ -149,11 +131,11 @@ pub struct CacheStats {
     pub misses: u64,
     /// Distinct compiled programs currently stored.
     pub entries: usize,
-    /// Approximate bytes resident across all shards.
+    /// Approximate bytes resident.
     pub resident_bytes: u64,
     /// Entries evicted by the second-chance policy.
     pub evictions: u64,
-    /// Total byte budget across all shards (0 = unbounded).
+    /// Byte budget (0 = unbounded).
     pub budget_bytes: u64,
 }
 
@@ -182,27 +164,6 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Number of bits of the content address selecting a cache shard.
-const SHARD_BITS: u32 = 4;
-
-/// Number of lock-striped shards in a [`CompileCache`].
-pub const SHARDS: usize = 1 << SHARD_BITS;
-
-/// A thread-safe, content-addressed cache of compiled programs,
-/// lock-striped into [`SHARDS`] segments by [`CacheKey::shard`].
-///
-/// Each shard's hit/miss counters live under the same lock as that
-/// shard's entry map, so per-shard counters are never torn — a miss
-/// already counted whose entry is not yet visible cannot be observed.
-/// [`CompileCache::stats`] acquires every shard lock before reading any
-/// counter, so the cross-shard totals (hit rate, requests = hits +
-/// misses, entry count) form one *consistent snapshot* exactly as they
-/// did when the cache was a single mutex.
-#[derive(Debug)]
-pub struct CompileCache {
-    shards: [Mutex<CacheShard>; SHARDS],
-}
-
 /// A map with a byte budget, enforced by **second-chance (clock)**
 /// eviction: entries cycle through a queue with a referenced bit that
 /// [`get`](BudgetedMap::get) sets; going over budget evicts the first
@@ -210,7 +171,7 @@ pub struct CompileCache {
 /// cleared) to the back. Each entry's weight is given at insert and
 /// frozen there. A budget of 0 means unbounded.
 ///
-/// Not synchronized: [`CompileCache`] puts one behind each shard lock.
+/// Not synchronized: a [`Memo`] puts one behind its lock.
 #[derive(Debug)]
 pub struct BudgetedMap<K, V> {
     entries: HashMap<K, Slot<V>>,
@@ -307,8 +268,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BudgetedMap<K, V> {
             if slot.referenced {
                 slot.referenced = false;
                 self.clock.push_back(key);
-            } else {
-                let evicted = self.entries.remove(&key).expect("entry just seen");
+            } else if let Some(evicted) = self.entries.remove(&key) {
                 self.resident -= evicted.weight;
                 self.evictions += 1;
             }
@@ -316,13 +276,137 @@ impl<K: Eq + Hash + Clone, V: Clone> BudgetedMap<K, V> {
     }
 }
 
-/// One lock stripe of a [`CompileCache`]: its entries and the hit/miss
-/// counters kept coherent with them under the same lock.
+/// A thread-safe memo: look up, else build once, then store under a
+/// byte budget.
+///
+/// One mutex guards a [`BudgetedMap`] and its hit/miss counters, so a
+/// [`stats`](Memo::stats) snapshot is always coherent with the entries
+/// (a counted miss whose entry is not yet visible cannot be observed).
+/// Concurrent misses on one key coalesce in a [`SingleFlight`]: one
+/// caller builds, outside the lock, and the others wait for its result.
+/// A failed build (`Err`) reaches every waiter of its flight and is not
+/// stored; a build that panics abandons its flight, and the next caller
+/// builds again. Nothing that can panic runs under the lock: `weigh`
+/// (each entry's budget charge) runs before it is taken, and the key's
+/// `Hash`, `Eq` and `Clone` and the value's `Clone`, which run under it,
+/// must not panic.
+///
+/// A [`get`](Memo::get) that finds an entry counts a hit; a stored value
+/// counts a miss.
 #[derive(Debug)]
-struct CacheShard {
-    map: BudgetedMap<u128, Arc<Compiled>>,
+pub struct Memo<K, V, E = Infallible> {
+    state: Mutex<MemoState<K, V>>,
+    flight: SingleFlight<Result<V, E>, K>,
+    weigh: fn(&V) -> u64,
+}
+
+#[derive(Debug)]
+struct MemoState<K, V> {
+    map: BudgetedMap<K, V>,
     hits: u64,
     misses: u64,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone, E: Clone> Memo<K, V, E> {
+    /// An empty memo holding at most `budget` bytes, each entry charged
+    /// `weigh(&value)` (0 = unbounded).
+    pub fn new(budget: u64, weigh: fn(&V) -> u64) -> Self {
+        Memo {
+            state: Mutex::new(MemoState {
+                map: BudgetedMap::new(budget),
+                hits: 0,
+                misses: 0,
+            }),
+            flight: SingleFlight::new(),
+            weigh,
+        }
+    }
+
+    fn state(&self) -> MutexGuard<'_, MemoState<K, V>> {
+        self.state
+            .lock()
+            .expect("memo poisoned: nothing that can panic runs under its lock")
+    }
+
+    /// The value under `key`, marking it recently used. Counts a hit
+    /// when present.
+    pub fn get(&self, key: &K) -> Option<V> {
+        let mut state = self.state();
+        let found = state.map.get(key).cloned();
+        if found.is_some() {
+            state.hits += 1;
+        }
+        found
+    }
+
+    /// Store `value` under `key` and count a miss. Returns the value
+    /// stored under `key`: when a racing insert got there first, *its*
+    /// value is kept and returned, so handles already given out stay
+    /// shared.
+    pub fn insert(&self, key: K, value: V) -> V {
+        let weight = (self.weigh)(&value);
+        let mut state = self.state();
+        state.misses += 1;
+        state.map.insert(key, value, weight)
+    }
+
+    /// The value under `key`, built by `build` and stored on a miss —
+    /// once across concurrent callers, who wait for the builder's result.
+    /// Also returns how this call was served.
+    pub fn get_or_build(
+        &self,
+        key: K,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> (Result<V, E>, Served) {
+        if let Some(found) = self.get(&key) {
+            return (Ok(found), Served::CacheHit);
+        }
+        self.flight.run(key.clone(), || {
+            // A flight that finished after our miss has stored it.
+            match self.get(&key) {
+                Some(found) => Ok(found),
+                None => build().map(|value| self.insert(key, value)),
+            }
+        })
+    }
+
+    /// Drop every entry (counters are kept).
+    pub fn clear(&self) {
+        self.state().map.clear();
+    }
+
+    /// A consistent snapshot of the counters and residency.
+    pub fn stats(&self) -> CacheStats {
+        let state = self.state();
+        CacheStats {
+            hits: state.hits,
+            misses: state.misses,
+            entries: state.map.entries.len(),
+            resident_bytes: state.map.resident_bytes(),
+            evictions: state.map.evictions(),
+            budget_bytes: state.map.budget,
+        }
+    }
+
+    /// Led/coalesced counters of the memo's flights.
+    pub fn flight_stats(&self) -> FlightStats {
+        self.flight.stats()
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
+    /// [`get_or_build`](Memo::get_or_build) for a build that cannot fail.
+    pub fn get_or_insert_with(&self, key: K, build: impl FnOnce() -> V) -> V {
+        let (Ok(value), _) = self.get_or_build(key, || Ok(build()));
+        value
+    }
+}
+
+/// A thread-safe, content-addressed cache of compiled programs: one
+/// [`Memo`] in front of [`compile_source`].
+#[derive(Debug)]
+pub struct CompileCache {
+    memo: Memo<u128, Arc<Compiled>, SpireError>,
 }
 
 impl Default for CompileCache {
@@ -338,27 +422,13 @@ impl CompileCache {
     }
 
     /// An empty cache holding at most ~`total_bytes` of compilations
-    /// (approximate accounting via [`Compiled::approx_bytes`]), split
-    /// evenly across the shards and enforced by second-chance
-    /// eviction. `0` means unbounded (same as [`CompileCache::new`]).
+    /// (approximate accounting via [`Compiled::approx_bytes`]), enforced
+    /// by second-chance eviction. `0` means unbounded (same as
+    /// [`CompileCache::new`]).
     pub fn with_budget(total_bytes: u64) -> Self {
-        // Rounding up gives every shard of a tiny budget at least one
-        // byte, so it still bounds (to roughly one entry per shard)
-        // rather than silently meaning "unbounded".
-        let per_shard = total_bytes.div_ceil(SHARDS as u64);
         CompileCache {
-            shards: std::array::from_fn(|_| {
-                Mutex::new(CacheShard {
-                    map: BudgetedMap::new(per_shard),
-                    hits: 0,
-                    misses: 0,
-                })
-            }),
+            memo: Memo::new(total_bytes, |compiled| compiled.approx_bytes()),
         }
-    }
-
-    fn shard(&self, key: CacheKey) -> &Mutex<CacheShard> {
-        &self.shards[key.shard()]
     }
 
     /// The process-wide shared cache.
@@ -376,7 +446,8 @@ impl CompileCache {
     ///
     /// # Errors
     ///
-    /// Propagates [`compile_source`] errors; failures are never cached.
+    /// Propagates [`compile_source`] errors (shared with every waiter of
+    /// the same flight); failures are never cached.
     pub fn get_or_compile(
         &self,
         source: &str,
@@ -385,34 +456,49 @@ impl CompileCache {
         config: WordConfig,
         options: &CompileOptions,
     ) -> Result<Arc<Compiled>, SpireError> {
+        self.get_or_compile_traced(source, entry, depth, config, options)
+            .0
+    }
+
+    /// [`get_or_compile`](CompileCache::get_or_compile), also reporting
+    /// how the request was served and the content address it was served
+    /// under (callers echo the key; computing it hashes the whole
+    /// source, so it is returned rather than recomputed). Records a
+    /// `flight` span whose `served` attribute is `cache`, `led` or
+    /// `follower`.
+    pub fn get_or_compile_traced(
+        &self,
+        source: &str,
+        entry: &str,
+        depth: i64,
+        config: WordConfig,
+        options: &CompileOptions,
+    ) -> (Result<Arc<Compiled>, SpireError>, Served, CacheKey) {
+        let mut span = spire_trace::span("flight");
         let key = CacheKey::new(source, entry, depth, config, options);
-        if let Some(found) = self.lookup(key) {
-            return Ok(found);
-        }
-        let compiled = Arc::new(compile_source(source, entry, depth, config, options)?);
-        let bytes = compiled.approx_bytes();
-        let mut shard = self.shard(key).lock().expect("compile cache poisoned");
-        shard.misses += 1;
-        Ok(shard.map.insert(key.0, compiled, bytes))
+        let (result, served) = self.memo.get_or_build(key.0, || {
+            compile_source(source, entry, depth, config, options).map(Arc::new)
+        });
+        span.attr_label(
+            "served",
+            match served {
+                Served::CacheHit => "cache",
+                Served::Led => "led",
+                Served::Coalesced => "follower",
+            },
+        );
+        (result, served, key)
     }
 
     /// Look up a key without compiling. Counts a hit (and marks the
     /// entry recently used) when present.
     pub fn lookup(&self, key: CacheKey) -> Option<Arc<Compiled>> {
-        let mut shard = self.shard(key).lock().expect("compile cache poisoned");
-        let found = shard.map.get(&key.0).cloned();
-        if found.is_some() {
-            shard.hits += 1;
-        }
-        found
+        self.memo.get(&key.0)
     }
 
     /// Number of cached programs.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("compile cache poisoned").map.entries.len())
-            .sum()
+        self.stats().entries
     }
 
     /// Whether the cache holds no programs.
@@ -422,32 +508,17 @@ impl CompileCache {
 
     /// Drop every cached program (counters are kept).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("compile cache poisoned").map.clear();
-        }
+        self.memo.clear();
     }
 
-    /// A consistent snapshot of the hit/miss/entry counters: every shard
-    /// lock is held simultaneously while the counters are read, so
-    /// derived quantities (hit rate, requests = hits + misses) are
-    /// internally coherent even while other threads compile — exactly
-    /// the guarantee the pre-striping single-lock cache gave.
+    /// A consistent snapshot of the hit/miss/entry counters.
     pub fn stats(&self) -> CacheStats {
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("compile cache poisoned"))
-            .collect();
-        let mut stats = CacheStats::default();
-        for shard in &guards {
-            stats.hits += shard.hits;
-            stats.misses += shard.misses;
-            stats.entries += shard.map.entries.len();
-            stats.resident_bytes += shard.map.resident_bytes();
-            stats.evictions += shard.map.evictions();
-            stats.budget_bytes += shard.map.budget;
-        }
-        stats
+        self.memo.stats()
+    }
+
+    /// Led/coalesced counters of the compile flights.
+    pub fn flight_stats(&self) -> FlightStats {
+        self.memo.flight_stats()
     }
 }
 
@@ -518,27 +589,49 @@ mod tests {
     }
 
     #[test]
-    fn keys_spread_across_shards() {
-        // The shard index is the hash's high bits: distinct sources land
-        // in more than one shard, so striping actually distributes load.
-        let shards: std::collections::HashSet<usize> = (0..64)
-            .map(|i| {
-                CacheKey::new(
-                    &format!("fun f{i}(x: uint) -> uint {{ return x; }}"),
-                    "f",
-                    0,
-                    WordConfig::tiny(),
-                    &CompileOptions::spire(),
-                )
-                .shard()
-            })
-            .collect();
-        assert!(
-            shards.len() > SHARDS / 2,
-            "only {} shards hit",
-            shards.len()
+    fn budget_of_two_entries_keeps_one() {
+        // One map, one budget: an entry of half the budget is resident
+        // after it is stored, so the next request hits.
+        let options = CompileOptions::spire();
+        let approx = CompileCache::new()
+            .get_or_compile(SRC, "inc", 0, WordConfig::tiny(), &options)
+            .unwrap()
+            .approx_bytes();
+        let cache = CompileCache::with_budget(2 * approx);
+        cache
+            .get_or_compile(SRC, "inc", 0, WordConfig::tiny(), &options)
+            .unwrap();
+        let key = CacheKey::new(SRC, "inc", 0, WordConfig::tiny(), &options);
+        assert!(cache.lookup(key).is_some(), "{:?}", cache.stats());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
+    }
+
+    #[test]
+    fn panicking_build_leaves_the_memo_usable() {
+        let memo: Memo<u32, u32> = Memo::new(0, |_| 1);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_insert_with(7, || panic!("build dies"))
+        }));
+        assert!(died.is_err());
+        assert_eq!(memo.stats(), CacheStats::default(), "nothing stored");
+        // The next call builds, and the memo keeps answering.
+        assert_eq!(memo.get_or_insert_with(7, || 42), 42);
+        assert_eq!(memo.get_or_insert_with(7, || 0), 42);
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!(memo.flight_stats().led, 2);
+    }
+
+    #[test]
+    fn failed_builds_are_shared_but_not_stored() {
+        let memo: Memo<u32, u32, &str> = Memo::new(0, |_| 1);
+        assert_eq!(memo.get_or_build(1, || Err("no")).0, Err("no"));
+        assert_eq!(memo.get_or_build(1, || Ok(5)), (Ok(5), Served::Led));
+        assert_eq!(
+            memo.get_or_build(1, || Err("no")),
+            (Ok(5), Served::CacheHit)
         );
-        assert!(shards.iter().all(|&s| s < SHARDS));
     }
 
     #[test]
@@ -552,7 +645,7 @@ mod tests {
             .unwrap();
         let per_entry = one.approx_bytes();
 
-        let cache = CompileCache::with_budget(per_entry * 2 * SHARDS as u64);
+        let cache = CompileCache::with_budget(per_entry * 2);
         let options = CompileOptions::spire();
         for i in 0..48usize {
             let src = format!("fun f(x: uint) -> uint {{ let y <- x + {i}; return y; }}");

@@ -8,7 +8,7 @@
 //! (deliberately independent of the backend) can see on its own.
 
 use spire_verify::{
-    bound_function, bound_violations, check_ancillas, check_circuit, codes, AncillaSpec, ArityScan,
+    bound_function, bound_violations, check_audited_circuit, codes, AncillaSpec, ArityScan,
     FunctionBounds, Report,
 };
 use tower::{parse, WordConfig};
@@ -59,45 +59,52 @@ pub fn scratch_spec(layout: &Layout) -> AncillaSpec {
 ///
 /// The ancilla and cost-model checks are skipped when the emitted circuit
 /// fails [`qcirc::Circuit::audit_raw`]; the well-formedness diagnostics
-/// report the defect instead.
+/// report the defect instead. The circuit is audited once, and the cost
+/// model's histogram computed once, for all of the checks.
 pub fn check_compiled(compiled: &Compiled, function: &str) -> Report {
     let mut verify_span = spire_trace::span("verify");
     let mut report = Report::default();
     let circuit = compiled.emit();
 
-    {
+    let defects = {
         let _span = spire_trace::span("check_circuit");
-        report
-            .diagnostics
-            .extend(check_circuit(&circuit, Some(compiled.layout.total_qubits)));
-    }
+        let defects = circuit.audit_raw();
+        report.diagnostics.extend(check_audited_circuit(
+            &circuit,
+            &defects,
+            Some(compiled.layout.total_qubits),
+        ));
+        defects
+    };
 
-    {
+    let histogram = {
         let _span = spire_trace::span("check_ancillas");
+        let scan = ArityScan::audited(&circuit, &defects);
         report
             .diagnostics
-            .extend(check_ancillas(&circuit, &scratch_spec(&compiled.layout)));
+            .extend(scan.ancillas(&scratch_spec(&compiled.layout)));
 
         // At the Toffoli level only the decomposition ancillae are new; the
         // scratch region was already checked exactly on the MCX stream.
-        let scan = ArityScan::of(&circuit);
         report.diagnostics.extend(scan.decomposition_ancillas());
-        report
-            .diagnostics
-            .extend(scan.cost_model(&compiled.histogram()));
-    }
+        let histogram = compiled.histogram();
+        report.diagnostics.extend(scan.cost_model(&histogram));
+        histogram
+    };
 
     {
         let _span = spire_trace::span("t_bounds");
-        report.functions.push(bounds_row(compiled, function));
+        report
+            .functions
+            .push(bounds_row(compiled, histogram.t_complexity(), function));
         push_bound_violations(&mut report);
     }
     verify_span.attr("diagnostics", report.diagnostics.len() as u64);
     report
 }
 
-fn bounds_row(compiled: &Compiled, function: &str) -> FunctionBounds {
-    let actual = compiled.t_complexity();
+/// The T-bound row of `compiled`, whose T-complexity is `actual`.
+fn bounds_row(compiled: &Compiled, actual: u64, function: &str) -> FunctionBounds {
     match bound_function(&compiled.ir, &compiled.types, &compiled.table) {
         Ok(bound) => FunctionBounds {
             name: function.to_string(),
@@ -150,7 +157,9 @@ pub fn check_source(
                 continue;
             }
             if let Ok(sibling) = compile_source(source, &name, depth, config, options) {
-                report.functions.push(bounds_row(&sibling, &name));
+                report
+                    .functions
+                    .push(bounds_row(&sibling, sibling.t_complexity(), &name));
             }
         }
         // Re-scan: sibling rows may add violations of their own.

@@ -1,41 +1,27 @@
-//! Single-flight request coalescing over the compile cache.
+//! Single-flight request coalescing.
 //!
-//! [`CompileCache`] deliberately lets two threads racing on the same key
-//! both compile (the duplicate insert is benign for a handful of batch
-//! workers). A serving workload inverts that trade-off: a thundering
-//! herd of identical requests — every client recompiling the same hot
-//! program — would burn one full compilation *per request* during the
-//! window before the first one lands in the cache. The single-flight
-//! layer closes that window: concurrent requests for one [`CacheKey`]
-//! coalesce onto a single *leader* that compiles, while the *followers*
-//! block until the leader publishes the result, so N concurrent
-//! identical requests cost exactly one compile.
+//! A serving workload sees thundering herds: every client recompiling
+//! the same hot program would burn one full compilation *per request*
+//! during the window before the first one lands in a cache. The
+//! single-flight layer closes that window: concurrent calls for one key
+//! coalesce onto a single *leader* that does the work, while the
+//! *followers* block until the leader publishes the result, so N
+//! concurrent identical requests cost exactly one build.
 //!
 //! [`SingleFlight`] is the generic mechanism (any `Clone` value, keyed
-//! by a `u128` content address unless told otherwise);
-//! [`SingleFlightCache`] composes it with a [`CompileCache`]
-//! into the object `spire-serve` actually uses. Failures propagate to
-//! every waiter of the flight but are not cached, matching the cache's
-//! errors-are-retried policy.
+//! by a `u128` content address unless told otherwise). It stores
+//! nothing: a [`Memo`](crate::cache::Memo) puts one in front of its
+//! map, and [`CompileCache`](crate::CompileCache) is such a memo.
 //!
 //! # Example
 //!
 //! ```
-//! use spire::flight::SingleFlightCache;
-//! use spire::CompileOptions;
-//! use tower::WordConfig;
+//! use spire::flight::{Served, SingleFlight};
 //!
-//! let compiler = SingleFlightCache::new();
-//! let src = "fun inc(x: uint) -> uint { let out <- x + 1; return out; }";
-//! let first = compiler.get_or_compile(
-//!     src, "inc", 0, WordConfig::tiny(), &CompileOptions::spire(),
-//! )?;
-//! let again = compiler.get_or_compile(
-//!     src, "inc", 0, WordConfig::tiny(), &CompileOptions::spire(),
-//! )?;
-//! assert!(std::sync::Arc::ptr_eq(&first, &again));
-//! assert_eq!(compiler.cache().stats().misses, 1);
-//! # Ok::<(), spire::SpireError>(())
+//! let flight: SingleFlight<u32> = SingleFlight::new();
+//! let (value, served) = flight.run(7, || 42);
+//! assert_eq!((value, served), (42, Served::Led));
+//! assert_eq!(flight.stats().led, 1);
 //! ```
 
 use std::collections::HashMap;
@@ -43,16 +29,10 @@ use std::fmt;
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex};
 
-use tower::WordConfig;
-
-use crate::cache::{CacheKey, CompileCache};
-use crate::error::SpireError;
-use crate::pipeline::{CompileOptions, Compiled};
-
 /// How a coalesced request was served (observable in `/metrics`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Served {
-    /// Answered directly from the compile cache.
+    /// Answered directly from the memo.
     CacheHit,
     /// This request led the flight: it ran the compilation itself.
     Led,
@@ -61,7 +41,7 @@ pub enum Served {
     Coalesced,
 }
 
-/// Counters observed on a [`SingleFlight`] / [`SingleFlightCache`].
+/// Counters observed on a [`SingleFlight`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlightStats {
     /// Requests that led a flight (ran the underlying work).
@@ -226,96 +206,6 @@ impl<V: Clone, K: Eq + Hash + Clone> SingleFlight<V, K> {
     /// Led/coalesced counters (consistent snapshot).
     pub fn stats(&self) -> FlightStats {
         *self.stats.lock().expect("stats poisoned")
-    }
-}
-
-/// A [`CompileCache`] with a single-flight layer on top: the compile path
-/// of `spire-serve`.
-///
-/// Requests check the cache first; on a miss they coalesce per
-/// [`CacheKey`], so a thundering herd of identical sources costs one
-/// compilation. Compile errors reach every waiter of the failing flight
-/// but are never cached (the next flight retries).
-#[derive(Debug, Default)]
-pub struct SingleFlightCache {
-    cache: CompileCache,
-    flight: SingleFlight<Result<Arc<Compiled>, SpireError>>,
-}
-
-impl SingleFlightCache {
-    /// A new empty cache with its single-flight layer.
-    pub fn new() -> Self {
-        SingleFlightCache::default()
-    }
-
-    /// A new cache bounded to ~`total_bytes`
-    /// ([`CompileCache::with_budget`]) with its single-flight layer.
-    pub fn with_budget(total_bytes: u64) -> Self {
-        SingleFlightCache {
-            cache: CompileCache::with_budget(total_bytes),
-            flight: SingleFlight::new(),
-        }
-    }
-
-    /// The underlying compile cache (for stats or direct lookups).
-    pub fn cache(&self) -> &CompileCache {
-        &self.cache
-    }
-
-    /// Led/coalesced counters of the single-flight layer.
-    pub fn flight_stats(&self) -> FlightStats {
-        self.flight.stats()
-    }
-
-    /// Compile through cache + single-flight.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compile errors (shared with every coalesced waiter of
-    /// the same flight; never cached).
-    pub fn get_or_compile(
-        &self,
-        source: &str,
-        entry: &str,
-        depth: i64,
-        config: WordConfig,
-        options: &CompileOptions,
-    ) -> Result<Arc<Compiled>, SpireError> {
-        self.get_or_compile_traced(source, entry, depth, config, options)
-            .0
-    }
-
-    /// [`get_or_compile`](SingleFlightCache::get_or_compile), also
-    /// reporting how the request was served and the content address it
-    /// was served under (callers echo the key; computing it hashes the
-    /// whole source, so it is returned rather than recomputed).
-    pub fn get_or_compile_traced(
-        &self,
-        source: &str,
-        entry: &str,
-        depth: i64,
-        config: WordConfig,
-        options: &CompileOptions,
-    ) -> (Result<Arc<Compiled>, SpireError>, Served, CacheKey) {
-        let mut span = spire_trace::span("flight");
-        let key = CacheKey::new(source, entry, depth, config, options);
-        if let Some(found) = self.cache.lookup(key) {
-            span.attr_label("served", "cache");
-            return (Ok(found), Served::CacheHit, key);
-        }
-        let (result, served) = self.flight.run(key.value(), || {
-            self.cache
-                .get_or_compile(source, entry, depth, config, options)
-        });
-        span.attr_label(
-            "served",
-            match served {
-                Served::CacheHit => "cache",
-                Served::Led => "led",
-                Served::Coalesced => "follower",
-            },
-        );
-        (result, served, key)
     }
 }
 

@@ -68,11 +68,11 @@ pub mod select;
 pub mod store;
 
 pub use abstract_circuit::{AInstr, AOp};
-pub use cache::{compile_source_cached, CacheKey, CacheStats, CompileCache};
+pub use cache::{compile_source_cached, CacheKey, CacheStats, CompileCache, Memo};
 pub use check::{check_compiled, check_source};
 pub use error::SpireError;
 pub use faults::{FaultKind, FaultSchedule, FaultStats, FaultyIo, Io, RealIo};
-pub use flight::{FlightStats, Served, SingleFlight, SingleFlightCache};
+pub use flight::{FlightStats, Served, SingleFlight};
 pub use layout::{AllocPolicy, Layout, MemoryLayout, Reg};
 pub use machine::Machine;
 pub use opt::{optimize, OptConfig};

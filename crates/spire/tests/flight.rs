@@ -1,14 +1,14 @@
-//! Concurrency tests for the single-flight layer: N threads requesting
-//! one `CacheKey` trigger exactly one underlying compile, every thread
-//! receives the same shared compilation, and failures reach every waiter
-//! without being cached.
+//! Concurrency tests for the single-flight layer of the compile cache:
+//! N threads requesting one `CacheKey` trigger exactly one underlying
+//! compile, every thread receives the same shared compilation, and
+//! failures reach every waiter without being cached.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use spire::flight::{Served, SingleFlight, SingleFlightCache};
-use spire::CompileOptions;
+use spire::flight::{Served, SingleFlight};
+use spire::{CompileCache, CompileOptions};
 use tower::WordConfig;
 
 const LENGTH: &str = r#"
@@ -90,7 +90,7 @@ fn n_concurrent_callers_run_the_work_exactly_once() {
 #[test]
 fn concurrent_identical_requests_compile_once() {
     const THREADS: usize = 8;
-    let compiler = Arc::new(SingleFlightCache::new());
+    let compiler = Arc::new(CompileCache::new());
     let barrier = Arc::new(Barrier::new(THREADS));
 
     let handles: Vec<_> = (0..THREADS)
@@ -119,13 +119,13 @@ fn concurrent_identical_requests_compile_once() {
             "all threads share one compilation"
         );
     }
-    let stats = compiler.cache().stats();
+    let stats = compiler.stats();
     assert_eq!(stats.misses, 1, "exactly one underlying compile");
     assert_eq!(stats.entries, 1);
     let flights = compiler.flight_stats();
     // Conservation: every request was served from the cache (hit), led a
-    // flight (whose inner get_or_compile counts the miss — or a hit, if
-    // it raced a completed flight), or coalesced onto one.
+    // flight (which counts the miss — or a hit, if it raced a completed
+    // flight), or coalesced onto one.
     assert_eq!(
         stats.hits + stats.misses + flights.coalesced,
         THREADS as u64
@@ -136,7 +136,7 @@ fn concurrent_identical_requests_compile_once() {
 /// cached: the next request compiles (and fails) again.
 #[test]
 fn failures_reach_waiters_but_are_not_cached() {
-    let compiler = SingleFlightCache::new();
+    let compiler = CompileCache::new();
     for _ in 0..2 {
         let err = compiler
             .get_or_compile(
@@ -149,7 +149,7 @@ fn failures_reach_waiters_but_are_not_cached() {
             .unwrap_err();
         assert_eq!(err.code(), "tower/parse");
     }
-    assert!(compiler.cache().is_empty());
+    assert!(compiler.is_empty());
     assert_eq!(
         compiler.flight_stats().led,
         2,
@@ -163,7 +163,7 @@ fn failures_reach_waiters_but_are_not_cached() {
 /// visible entry).
 #[test]
 fn stats_snapshots_are_never_torn() {
-    let compiler = Arc::new(SingleFlightCache::new());
+    let compiler = Arc::new(CompileCache::new());
     let stop = Arc::new(AtomicU64::new(0));
     std::thread::scope(|scope| {
         for _ in 0..4 {
@@ -185,7 +185,7 @@ fn stats_snapshots_are_never_torn() {
         }
         let deadline = Instant::now() + Duration::from_millis(300);
         while Instant::now() < deadline {
-            let stats = compiler.cache().stats();
+            let stats = compiler.stats();
             // Coherence: hits can only be counted against a present
             // entry, and an entry only exists after its miss was counted.
             if stats.hits > 0 || stats.entries > 0 {

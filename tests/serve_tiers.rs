@@ -232,10 +232,10 @@ fn recompiles_after_eviction_agree() {
         ..ServerConfig::default()
     });
     for (program, kind, want) in cases() {
-        let misses = tiny.compiler.cache().stats().misses;
+        let misses = tiny.compiler.stats().misses;
         let (served, body) = ask(&tiny, program, kind);
         assert_eq!(served, "compiled", "{kind:?} after eviction");
-        assert_eq!(tiny.compiler.cache().stats().misses, misses + 1);
+        assert_eq!(tiny.compiler.stats().misses, misses + 1);
         assert_eq!(body, want, "re-served {kind:?} after eviction");
     }
 }
