@@ -22,9 +22,6 @@ use tower::WordConfig;
 use crate::programs::{all_benchmarks, Benchmark, LENGTH, LENGTH_SIMPLE};
 use crate::report::{FigureReport, Series, TableReport};
 
-/// Default depth range used by the paper (2..=10).
-pub const DEPTHS: std::ops::RangeInclusive<i64> = 2..=10;
-
 /// Compile a benchmark through the process-wide compile cache.
 ///
 /// Every regenerator except the *timing* experiments goes through here:
@@ -627,6 +624,6 @@ mod tests {
     fn table2_reports_all_pipelines() {
         let report = table2(4);
         assert_eq!(report.rows.len(), 12);
-        assert!(report.render().contains("spire"));
+        assert!(report.to_markdown().contains("spire"));
     }
 }

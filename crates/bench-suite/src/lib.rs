@@ -7,8 +7,8 @@
 //!   paper's "lowest-degree polynomial that exactly fits" methodology.
 //! * [`experiments`] — one regenerator per table and figure of the
 //!   evaluation (Figures 2, 12, 15, 24; Tables 1–6; Appendix A).
-//! * [`report`] — rendering and serialization of figures and tables as
-//!   plain text, Markdown, and JSON.
+//! * [`report`] — figures and tables as Markdown and JSON, and the
+//!   `reports/` snapshot: writing it and checking a run against it.
 //! * [`runner`] — the parallel artifact pipeline: warms the compile
 //!   cache across the experiment matrix on scoped worker threads, then
 //!   regenerates every artifact (`spire-cli report` is a thin shell over
@@ -23,12 +23,14 @@
 //! # Example
 //!
 //! ```no_run
-//! // Regenerate Figure 2 (quadratic T vs linear MCX for `length`):
-//! let report = bench_suite::experiments::fig2(2..=10);
-//! println!("{}", report.render());
+//! use bench_suite::runner::{artifact_specs, run_all, MatrixParams};
+//!
+//! // Regenerate Figure 2 (quadratic T vs linear MCX for `length`) at
+//! // paper scale, as `spire-cli experiments fig2` prints it:
+//! let fig2 = artifact_specs()[0].run(&MatrixParams::paper());
+//! println!("{}", fig2.to_markdown());
 //!
 //! // Or regenerate every artifact in parallel, with a warm cache:
-//! use bench_suite::runner::{run_all, MatrixParams};
 //! let summary = run_all(&MatrixParams::paper(), 4, &|_event| {});
 //! assert_eq!(summary.artifacts.len(), 10);
 //! ```

@@ -1,15 +1,25 @@
 //! Rendering and serialization of experiment results (series tables and
-//! row tables) as plain text, Markdown, and JSON.
+//! row tables) as Markdown and JSON, and the `reports/` snapshot they
+//! make up.
 //!
-//! The plain-text renderers feed `spire-cli experiments`; the Markdown
-//! and JSON serializers feed the artifact pipeline (`spire-cli report`),
-//! which writes both formats under `reports/` — Markdown as the
-//! committed, drift-checked snapshot and JSON for downstream tooling.
-//! See `docs/EXPERIMENTS.md` for the artifact ↔ paper index.
+//! Each [`Artifact`] has one text form, [`Artifact::to_markdown`]:
+//! `spire-cli experiments <id>` prints it, and the artifact pipeline
+//! (`spire-cli report`) writes it under `reports/` with a generated-by
+//! header ([`artifact_markdown`]) beside the JSON for downstream tooling
+//! ([`write_reports`]). The Markdown is the committed snapshot that
+//! [`check_reports`] compares a fresh run with, timing cells normalized;
+//! `spire-cli report --check` and the tier-1 `report_paper` test both
+//! call it. See `docs/EXPERIMENTS.md` for the artifact ↔ paper index.
 
 use std::fmt::Write as _;
+use std::fs;
+use std::path::Path;
 
-use qcirc::json::Json;
+use qcirc::json::{quoted, Json};
+use spire::CompileOptions;
+use tower::WordConfig;
+
+use crate::runner::{ArtifactResult, RunSummary};
 
 /// One curve of a figure: a label and `(x, y)` points.
 #[derive(Debug, Clone)]
@@ -70,43 +80,6 @@ pub struct FigureReport {
     pub series: Vec<Series>,
 }
 
-impl FigureReport {
-    /// Render as an aligned text table with one row per series.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "== {} : {} ==", self.id, self.title);
-        let xs: Vec<i64> = self
-            .series
-            .first()
-            .map(|s| s.points.iter().map(|&(x, _)| x).collect())
-            .unwrap_or_default();
-        let label_width = self
-            .series
-            .iter()
-            .map(|s| s.label.len())
-            .max()
-            .unwrap_or(8)
-            .max(self.var.len());
-        let _ = write!(out, "{:label_width$}", self.var);
-        for x in &xs {
-            let _ = write!(out, " {x:>12}");
-        }
-        let _ = writeln!(out, "  | fit");
-        for series in &self.series {
-            let _ = write!(out, "{:label_width$}", series.label);
-            for &(_, y) in &series.points {
-                let _ = write!(out, " {y:>12}");
-            }
-            let fit = series.fit.as_deref().map_or_else(
-                || "(no exact polynomial fit)".to_string(),
-                |f| format!("{} = {}", series.asymptotic.as_deref().unwrap_or(""), f),
-            );
-            let _ = writeln!(out, "  | {fit}");
-        }
-        out
-    }
-}
-
 /// A table-style report: free-form rows under a header.
 #[derive(Debug, Clone)]
 pub struct TableReport {
@@ -118,38 +91,6 @@ pub struct TableReport {
     pub header: Vec<String>,
     /// Rows of cells.
     pub rows: Vec<Vec<String>>,
-}
-
-impl TableReport {
-    /// Render as an aligned text table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "== {} : {} ==", self.id, self.title);
-        let columns = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate().take(columns) {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let render_row = |cells: &[String], out: &mut String| {
-            for (i, cell) in cells.iter().enumerate().take(columns) {
-                let w = widths[i];
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                let _ = write!(out, "{cell:w$}");
-            }
-            out.push('\n');
-        };
-        render_row(&self.header, &mut out);
-        let total: usize = widths.iter().sum::<usize>() + 2 * (columns - 1);
-        let _ = writeln!(out, "{}", "-".repeat(total));
-        for row in &self.rows {
-            render_row(row, &mut out);
-        }
-        out
-    }
 }
 
 impl FigureReport {
@@ -185,12 +126,6 @@ impl FigureReport {
 
     /// Serialize as a JSON object (`kind`, `id`, `title`, `var`, and a
     /// `series` array of labeled point lists with their exact fits).
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
-    }
-
-    /// The [`to_json`](FigureReport::to_json) serialization as a
-    /// structured [`Json`] value.
     pub fn to_json_value(&self) -> Json {
         let series: Json = self
             .series
@@ -241,12 +176,6 @@ impl TableReport {
 
     /// Serialize as a JSON object (`kind`, `id`, `title`, `header`, and
     /// `rows` as arrays of strings).
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
-    }
-
-    /// The [`to_json`](TableReport::to_json) serialization as a
-    /// structured [`Json`] value.
     pub fn to_json_value(&self) -> Json {
         let strings = |cells: &[String]| Json::array(cells.iter().map(String::as_str));
         Json::obj()
@@ -288,14 +217,6 @@ impl Artifact {
         }
     }
 
-    /// Render as aligned plain text.
-    pub fn render(&self) -> String {
-        match self {
-            Artifact::Figure(f) => f.render(),
-            Artifact::Table(t) => t.render(),
-        }
-    }
-
     /// Render as a Markdown section.
     pub fn to_markdown(&self) -> String {
         match self {
@@ -304,29 +225,168 @@ impl Artifact {
         }
     }
 
-    /// Serialize as a JSON object.
+    /// Serialize as a JSON object (the `reports/<id>.json` document).
     pub fn to_json(&self) -> String {
         match self {
-            Artifact::Figure(f) => f.to_json(),
-            Artifact::Table(t) => t.to_json(),
-        }
-    }
-
-    /// The artifact as a structured [`Json`] value.
-    pub fn to_json_value(&self) -> Json {
-        match self {
-            Artifact::Figure(f) => f.to_json_value(),
-            Artifact::Table(t) => t.to_json_value(),
+            Artifact::Figure(f) => f.to_json_value().to_string(),
+            Artifact::Table(t) => t.to_json_value().to_string(),
         }
     }
 }
 
-/// Escape a string as a JSON string literal.
-///
-/// Thin re-export of [`qcirc::json::quoted`] kept for the existing call
-/// sites that splice escaped strings into handwritten JSON templates.
-pub fn json_string(s: &str) -> String {
-    qcirc::json::quoted(s)
+/// The generated-by header of every file `spire-cli report` writes.
+const GENERATED: &str =
+    "<!-- generated by `spire-cli report`; do not edit (see docs/EXPERIMENTS.md) -->\n\n";
+
+/// Write every artifact as `<id>.md` and `<id>.json`, plus the index
+/// (`README.md`) and the machine-readable run metadata (`summary.json`).
+pub fn write_reports(dir: &Path, summary: &RunSummary) -> Result<(), String> {
+    fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    let write = |name: String, content: String| -> Result<(), String> {
+        let path = dir.join(name);
+        fs::write(&path, content).map_err(|e| format!("writing {}: {e}", path.display()))
+    };
+    for result in &summary.artifacts {
+        write(format!("{}.md", result.spec.id), artifact_markdown(result))?;
+        write(
+            format!("{}.json", result.spec.id),
+            format!("{}\n", result.artifact.to_json()),
+        )?;
+    }
+    write("README.md".into(), index_markdown(summary))?;
+    write("summary.json".into(), summary_json(summary))?;
+    Ok(())
+}
+
+/// Compare a run's Markdown with the snapshot in `snapshot_dir`,
+/// normalizing wall-clock timing cells on both sides, and the index
+/// exactly. The error lists every drifted file.
+pub fn check_reports(snapshot_dir: &Path, summary: &RunSummary) -> Result<(), String> {
+    let mut drifted = Vec::new();
+    for result in &summary.artifacts {
+        let name = format!("{}.md", result.spec.id);
+        match fs::read_to_string(snapshot_dir.join(&name)) {
+            Ok(committed)
+                if normalize_timings(&committed)
+                    == normalize_timings(&artifact_markdown(result)) => {}
+            Ok(_) => drifted.push(format!("{name}: content differs")),
+            Err(e) => drifted.push(format!("{name}: unreadable ({e})")),
+        }
+    }
+    match fs::read_to_string(snapshot_dir.join("README.md")) {
+        Ok(committed) if committed == index_markdown(summary) => {}
+        Ok(_) => drifted.push("README.md: content differs".into()),
+        Err(e) => drifted.push(format!("README.md: unreadable ({e})")),
+    }
+    if drifted.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "report drift against {} in {} file(s):\n  {}\n\
+             regenerate with `cargo run --release -p spire-cli -- report` and commit the result",
+            snapshot_dir.display(),
+            drifted.len(),
+            drifted.join("\n  ")
+        ))
+    }
+}
+
+/// The `reports/<id>.md` document for one artifact: the generated-by
+/// header, then [`Artifact::to_markdown`].
+pub fn artifact_markdown(result: &ArtifactResult) -> String {
+    format!("{GENERATED}{}", result.artifact.to_markdown())
+}
+
+/// The `reports/README.md` index: one row per artifact. Deliberately free
+/// of timings and machine details so it is as stable as the artifacts.
+pub fn index_markdown(summary: &RunSummary) -> String {
+    let mut out = format!(
+        "{GENERATED}# Paper artifacts\n\n\
+         Every table and figure of the evaluation, regenerated by\n\
+         `cargo run --release -p spire-cli -- report`. The experiment index in\n\
+         [docs/EXPERIMENTS.md](../docs/EXPERIMENTS.md) maps each artifact to the paper and to\n\
+         the code that produces it.\n\n\
+         | artifact | reproduces | generator | files |\n|---|---|---|---|\n",
+    );
+    for result in &summary.artifacts {
+        let id = result.spec.id;
+        let _ = writeln!(
+            out,
+            "| {} | {} | `{}` | [{id}.md]({id}.md), [{id}.json]({id}.json) |",
+            result.artifact.title(),
+            result.spec.paper_ref,
+            result.spec.function,
+        );
+    }
+    out
+}
+
+/// Machine-readable run metadata: timings, cache statistics, and the gate
+/// histograms of every benchmark at a reference depth (the `qcirc`
+/// histogram serialization). Not drift-checked — it contains timings.
+pub fn summary_json(summary: &RunSummary) -> String {
+    let artifacts: Vec<String> = summary
+        .artifacts
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"id\":{},\"paper_ref\":{},\"function\":{},\"seconds\":{:.6}}}",
+                quoted(r.spec.id),
+                quoted(r.spec.paper_ref),
+                quoted(r.spec.function),
+                r.wall.as_secs_f64(),
+            )
+        })
+        .collect();
+    let reference_depth = 4;
+    let histograms: Vec<String> = crate::programs::all_benchmarks()
+        .iter()
+        .map(|bench| {
+            let depth = if bench.constant { 0 } else { reference_depth };
+            let compiled = |options: &CompileOptions| {
+                spire::compile_source_cached(
+                    &bench.source,
+                    bench.entry,
+                    depth,
+                    WordConfig::paper_default(),
+                    options,
+                )
+            };
+            let hist = |options: &CompileOptions| {
+                compiled(options).map_or_else(|_| "null".into(), |c| c.histogram().to_json())
+            };
+            // The fully decomposed Clifford+T gate counts of the
+            // Spire-optimized circuit (Tables 5/6 currency).
+            let clifford_t = compiled(&CompileOptions::spire())
+                .ok()
+                .and_then(|c| qcirc::decompose::to_clifford_t(&c.emit()).ok())
+                .map_or_else(|| "null".into(), |circuit| circuit.clifford_t_counts().to_json());
+            format!(
+                "{{\"name\":{},\"group\":{},\"entry\":{},\"depth\":{depth},\"baseline\":{},\"spire\":{},\"spire_clifford_t\":{}}}",
+                quoted(bench.name),
+                quoted(bench.group),
+                quoted(bench.entry),
+                hist(&CompileOptions::baseline()),
+                hist(&CompileOptions::spire()),
+                clifford_t,
+            )
+        })
+        .collect();
+    format!(
+        "{{\"threads\":{},\"warm_jobs\":{},\"warm_seconds\":{:.6},\"wall_seconds\":{:.6},\
+         \"peak_parallelism\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\
+         \"artifacts\":[{}],\"benchmark_histograms\":[{}]}}\n",
+        summary.threads,
+        summary.warm_jobs,
+        summary.warm_wall.as_secs_f64(),
+        summary.wall.as_secs_f64(),
+        summary.parallelism.peak,
+        summary.cache.hits,
+        summary.cache.misses,
+        summary.cache.entries,
+        artifacts.join(","),
+        histograms.join(","),
+    )
 }
 
 /// Replace wall-clock timing cells (the `1.234 s` format every timed
@@ -384,25 +444,9 @@ mod tests {
             var: "n",
             series: vec![series],
         };
-        let text = report.render();
+        let text = report.to_markdown();
         assert!(text.contains("figX"));
-        assert!(text.contains("2n+3"));
-    }
-
-    #[test]
-    fn table_report_aligns_columns() {
-        let report = TableReport {
-            id: "tabX",
-            title: "demo".into(),
-            header: vec!["name".into(), "value".into()],
-            rows: vec![
-                vec!["a".into(), "1".into()],
-                vec!["long-name".into(), "2".into()],
-            ],
-        };
-        let text = report.render();
-        assert!(text.contains("long-name"));
-        assert!(text.lines().count() >= 4);
+        assert!(text.contains("O(n) = 2n+3"));
     }
 
     #[test]
@@ -416,7 +460,7 @@ mod tests {
         let md = report.to_markdown();
         assert!(md.starts_with("## `figX`"));
         assert!(md.contains("| T | 7 | 9 | 11 |"));
-        let json = report.to_json();
+        let json = report.to_json_value().to_string();
         assert!(json.contains("\"kind\":\"figure\""));
         assert!(json.contains("\"points\":[[2,7],[3,9],[4,11]]"));
         assert!(json.contains("\"fit\":\"2n+3\""));

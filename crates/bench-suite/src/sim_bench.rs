@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use qcirc::sim::{Simulator, SparseState, SparseState256};
 use qcirc::{Circuit, Gate};
 
-use crate::report::json_string;
+use qcirc::json::quoted;
 
 /// One measured workload: warm gates/second of whole-circuit sparse
 /// simulation.
@@ -58,7 +58,7 @@ impl SimMeasurement {
         format!(
             "{{\"workload\":{},\"qubits\":{},\"gates\":{},\"reps\":{},\
              \"seconds_per_run\":{:.9},\"gates_per_second\":{:.0}}}",
-            json_string(self.workload),
+            quoted(self.workload),
             self.qubits,
             self.gates,
             self.reps,
@@ -196,7 +196,7 @@ impl SimBenchReport {
         let headline = match self.headline_speedup() {
             Some(speedup) => format!(
                 "{{\"workload\":{},\"speedup_vs_baseline\":{:.2}}}",
-                json_string(HEADLINE),
+                quoted(HEADLINE),
                 speedup
             ),
             None => "null".into(),
@@ -205,9 +205,9 @@ impl SimBenchReport {
             "{{\"schema\":1,\"mode\":{},\"headline\":{},\
              \"baseline\":{{\"commit\":{},\"entries\":[{}]}},\
              \"current\":{{\"entries\":[{}]}}}}\n",
-            json_string(self.mode),
+            quoted(self.mode),
             headline,
-            json_string(BASELINE_COMMIT),
+            quoted(BASELINE_COMMIT),
             base.join(","),
             entries.join(","),
         )

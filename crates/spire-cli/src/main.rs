@@ -1,50 +1,40 @@
-//! `spire-cli`: command-line driver for the Spire reproduction.
-//!
-//! ```text
-//! spire-cli compile <file.twr> --entry f --depth n [--opt spire|cf|cn|none] [--out circuit.qc]
-//! spire-cli analyze <file.twr> --entry f --depth n
-//! spire-cli check (<file.twr> --entry f --depth n [--opt ...] | --benchmarks) [--json]
-//! spire-cli benchmarks
-//! spire-cli experiments <fig2|fig12|fig15a|fig15b|table1|table2|table4|table5|fig24|appendix-a|all>
-//! spire-cli report [--out-dir reports] [--threads n] [--quick] [--check]
-//! spire-cli serve [--addr 127.0.0.1:0] [--threads n] [--cache-dir dir] [--cache-bytes n]
-//!               [--compact-on-start] [--inject-disk-faults spec]
-//!               [--trace-sample n] [--trace-seed n] [--slow-log n]
-//! spire-cli loadtest [--addr host:port] [--workers n] [--seconds s] [--quick]
-//!                  [--trace-out file]
-//! spire-cli trace --addr host:port [--out trace.json]
-//! ```
+//! `spire-cli`: command-line driver for the Spire reproduction. Each
+//! subcommand declares its operands and flags once, in [`COMMANDS`]; the
+//! declaration both parses its command line and prints its `--help`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt::{Display, Write as _};
 use std::fs;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use bench_suite::experiments;
-use bench_suite::report::normalize_timings;
-use bench_suite::runner::{self, MatrixParams, RunSummary, RunnerEvent};
+use bench_suite::report;
+use bench_suite::runner::{self, MatrixParams, RunnerEvent};
 use qcirc::sim::{BasisState, SparseState, SparseState256};
+use qcirc::Circuit;
 use spire::{compile_source, CompileOptions, Compiled, Machine, OptConfig};
 use tower::WordConfig;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("compile") => cmd_compile(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("benchmarks") => cmd_benchmarks(),
-        Some("experiments") => cmd_experiments(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("loadtest") => cmd_loadtest(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
+    let Some(command) = COMMANDS
+        .iter()
+        .find(|c| args.first().is_some_and(|a| a == c.name))
+    else {
+        eprint!("{}", usage());
+        return ExitCode::FAILURE;
+    };
+    let result = match Args::parse(command, &args[1..]) {
+        Ok(Some(parsed)) => (command.run)(&parsed),
+        Ok(None) => {
+            print!("{}", command.usage());
+            return ExitCode::SUCCESS;
         }
+        Err(message) => Err(format!("{message}\n\n{}", command.usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -55,78 +45,256 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:
-  spire-cli compile <file.twr> --entry <fun> --depth <n> [--opt spire|cf|cn|none] [--out <file.qc>]
-                    [--simulate] [--set <var>=<value> ...]
-  spire-cli analyze <file.twr> --entry <fun> --depth <n>
-  spire-cli check <file.twr> --entry <fun> --depth <n> [--opt spire|cf|cn|none] [--json]
-  spire-cli check --benchmarks [--json]
-  spire-cli benchmarks
-  spire-cli experiments <fig2|fig12|fig15a|fig15b|table1|table2|table4|table5|fig24|appendix-a|all>
-  spire-cli report [--out-dir <dir>] [--threads <n>] [--quick] [--check]
-  spire-cli serve [--addr <host:port>] [--threads <n>] [--backlog <n>] [--cache-dir <dir>]
-                  [--cache-bytes <n[k|m|g]>] [--compact-on-start]
-                  [--inject-disk-faults <none|crash=BYTES|KIND:all|KIND:nth=N|KIND:rate=R,seed=S>]
-                  [--trace-sample <n>] [--trace-seed <n>] [--slow-log <n>]
-  spire-cli loadtest [--addr <host:port>] [--workers <n>] [--seconds <s>]
-                     [--depth <n>] [--quick] [--out-dir <dir>] [--trace-out <file>]
-  spire-cli trace --addr <host:port> [--out <trace.json>]
+/// A flag's usage line: its name, then a `<placeholder>` if it takes a
+/// value, then its help.
+type Flag = &'static str;
 
-  --simulate runs the compiled circuit (sparse backend for layouts of up
-  to 64 qubits, wide-keyed sparse up to 256, classical otherwise) and
-  prints every live variable; --set initializes an input register first.
+/// A subcommand: its name, the operands it accepts (at most this many),
+/// its flags, what it does (the first line is its summary in the
+/// top-level usage) and its body.
+struct Command {
+    name: &'static str,
+    operands: &'static [&'static str],
+    flags: &'static [Flag],
+    about: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+}
 
-  check runs the spire-verify static analyses (gate-stream
-  well-formedness, ancilla discipline, static T-complexity bounds; see
-  docs/ANALYSIS.md) over the compiled program and prints structured
-  diagnostics with stable `verify/...` codes. --benchmarks checks every
-  paper benchmark instead of a file; --json emits the machine-readable
-  report (the format CI pins a golden copy of). Exits nonzero on any
-  error-severity diagnostic.
+/// Every subcommand accepts `--help`.
+const HELP: Flag = "--help                       print this usage and run nothing";
+const ENTRY: Flag = "--entry <fun>                entry function (required)";
+const DEPTH: Flag = "--depth <n>                  recursion depth bound (required)";
+const OPT: Flag = "--opt <spire|cf|cn|none>     optimization (default spire)";
 
-  serve runs the compile-and-estimate HTTP service (POST /compile,
-  POST /simulate, POST /check, GET /benchmarks, GET /metrics,
-  GET /healthz) until the
-  process is killed; port 0 picks an ephemeral port, printed on stdout.
-  --cache-dir enables the persistent compile cache: /compile results are
-  stored in an append-only content-addressed log there, so a restarted
-  server answers previously-compiled requests from disk.
-  --cache-bytes caps resident memory for the in-memory caches
-  (second-chance eviction; suffixes k/m/g are binary multiples).
-  --compact-on-start rewrites the on-disk log to live entries only
-  before serving. --inject-disk-faults wires a seeded fault schedule
-  into the disk tier for chaos testing (KIND is eio, enospc, or torn);
-  the server degrades to memory-only behind a circuit breaker instead
-  of failing requests. See docs/SERVING.md and docs/ROBUSTNESS.md.
-  --trace-sample N traces every Nth request (0 disables sampling;
-  ?trace=1 always traces), --trace-seed pins the deterministic trace/span
-  ID streams, --slow-log sets how many slowest traced requests are kept
-  for GET /debug/slow. See docs/OBSERVABILITY.md.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "compile",
+        operands: &["<file.twr>"],
+        flags: &[
+            ENTRY,
+            DEPTH,
+            OPT,
+            "--out <file.qc>              write the circuit there, not to stdout",
+            "--simulate                   run the circuit, print every live variable",
+            "--set <var>=<value>          initialize an input first (repeatable)",
+        ],
+        about: "compile a Tower program and emit its circuit in .qc format
 
-  loadtest drives a closed-loop request mix over the benchmark programs
-  against --addr (or an in-process server when omitted), then sweeps the
-  same mix open-loop at fixed fractions of the measured capacity, then
-  measures the traced-vs-untraced throughput delta, and writes the
-  BENCH_serve.json perf trajectory (throughput, latency percentiles
-  incl. the latency-under-load curve, cache/single-flight rates, tracing
-  overhead). --quick is the CI smoke configuration. --trace-out saves
-  the server's slow log as Chrome trace_event JSON afterwards.
+--simulate uses the sparse backend for layouts of up to 64 qubits, its
+wide-keyed variant up to 256, and the classical simulator beyond.",
+        run: cmd_compile,
+    },
+    Command {
+        name: "analyze",
+        operands: &["<file.twr>"],
+        flags: &[ENTRY, DEPTH],
+        about: "print cost-model MCX and T complexities under each optimization",
+        run: cmd_analyze,
+    },
+    Command {
+        name: "check",
+        operands: &["[<file.twr>]"],
+        flags: &[
+            ENTRY,
+            DEPTH,
+            OPT,
+            "--benchmarks                 check every paper benchmark, not a file",
+            "--json                       print the machine-readable report CI pins",
+        ],
+        about: "run the spire-verify static analyses (docs/ANALYSIS.md)
 
-  trace fetches the slow log of a running server (GET
-  /debug/slow?format=chrome) and writes it as Chrome trace_event JSON
-  (default trace.json), loadable in chrome://tracing or Perfetto.
+Exits nonzero on any error-severity diagnostic.",
+        run: cmd_check,
+    },
+    Command {
+        name: "benchmarks",
+        operands: &[],
+        flags: &[],
+        about: "list the paper's benchmark programs (Table 1)",
+        run: cmd_benchmarks,
+    },
+    Command {
+        name: "experiments",
+        operands: &["[<id>|all]"],
+        flags: &[],
+        about: "print paper tables and figures at paper scale, as Markdown
 
-  report regenerates every paper table/figure artifact in parallel
-  (Markdown + JSON under --out-dir, default `reports/`). --check
-  regenerates and diffs the Markdown against the committed snapshot in
-  `reports/` (timing cells normalized) instead of overwriting it, and
-  fails on drift. --quick runs a reduced matrix for smoke testing.";
+<id> names an artifact of `report` (aliases: fig12a, fig12b, table6); the
+text is reports/<id>.md without its generated-by header.",
+        run: cmd_experiments,
+    },
+    Command {
+        name: "report",
+        operands: &[],
+        flags: &[
+            "--out-dir <dir>              where the artifacts go (default reports)",
+            "--threads <n>                worker threads (default 2..=8, by cores)",
+            "--quick                      run a reduced matrix for smoke testing",
+            "--check                      fail on drift from reports/, not overwrite it",
+        ],
+        about: "regenerate every paper table and figure in parallel
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+Writes <id>.md and <id>.json per artifact, README.md and summary.json;
+--check compares the Markdown with timing cells normalized.",
+        run: cmd_report,
+    },
+    Command {
+        name: "serve",
+        operands: &[],
+        flags: &[
+            "--addr <host:port>           listen address; port 0 picks one",
+            "--threads <n>                worker threads",
+            "--backlog <n>                requests that may wait for a worker",
+            "--cache-dir <dir>            persist compile results there",
+            "--cache-bytes <n[k|m|g]>     memory budget of the caches",
+            "--compact-on-start           compact the on-disk log first",
+            "--inject-disk-faults <spec>  disk fault schedule (chaos testing only)",
+            "--trace-sample <n>           trace every nth request (0: none)",
+            "--trace-seed <n>             seed of the trace and span IDs",
+            "--slow-log <n>               slowest traced requests kept",
+        ],
+        about: "run the compile-and-estimate HTTP service until killed
+
+See docs/SERVING.md, docs/ROBUSTNESS.md (the fault <spec> grammar) and
+docs/OBSERVABILITY.md.",
+        run: cmd_serve,
+    },
+    Command {
+        name: "loadtest",
+        operands: &[],
+        flags: &[
+            "--addr <host:port>           server to drive (default: in-process)",
+            "--workers <n>                concurrent clients",
+            "--seconds <s>                closed-loop duration",
+            "--depth <n>                  recursion depth of the request mix",
+            "--quick                      the CI smoke configuration",
+            "--out-dir <dir>              where BENCH_serve.json goes",
+            "--trace-out <file>           save the slow log as Chrome trace JSON",
+        ],
+        about: "load-test a server and write BENCH_serve.json
+
+Closed loop, then open loop at fractions of the measured capacity, then
+traced against untraced throughput.",
+        run: cmd_loadtest,
+    },
+    Command {
+        name: "trace",
+        operands: &[],
+        flags: &[
+            "--addr <host:port>           the running server (required)",
+            "--out <trace.json>           output file (default trace.json)",
+        ],
+        about: "save a running server's slow log as Chrome trace_event JSON",
+        run: cmd_trace,
+    },
+];
+
+/// A flag's name, and whether it takes a value.
+fn split_flag(flag: Flag) -> (&'static str, bool) {
+    let mut words = flag.split_whitespace();
+    let name = words.next().unwrap_or_default();
+    (name, words.next().is_some_and(|w| w.starts_with('<')))
+}
+
+/// The top-level usage: one line per subcommand.
+fn usage() -> String {
+    let mut out = String::from("usage: spire <command> [<operands>] [flags]\n\n");
+    for command in COMMANDS {
+        let summary = command.about.lines().next().unwrap_or_default();
+        let _ = writeln!(out, "  {:<12} {summary}", command.name);
+    }
+    out + "\n`spire <command> --help` lists a command's flags.\n"
+}
+
+impl Command {
+    /// This subcommand's usage, generated from its declaration.
+    fn usage(&self) -> String {
+        let mut out = format!("usage: spire {}", self.name);
+        for operand in self.operands {
+            let _ = write!(out, " {operand}");
+        }
+        let _ = write!(out, " [flags]\n\n{}\n\n", self.about);
+        for flag in self.flags.iter().chain([&HELP]) {
+            let _ = writeln!(out, "  {flag}");
+        }
+        out
+    }
+}
+
+/// A command line parsed against its [`Command`]: the operands, and each
+/// use of a flag in order with its value (empty for a switch).
+struct Args {
+    command: &'static Command,
+    operands: Vec<String>,
+    flags: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// Parse `args` against `command`'s declaration; `Ok(None)` asks for
+    /// `--help`. An unknown flag, an operand beyond the declared ones and
+    /// a value flag without its value are errors.
+    fn parse(command: &'static Command, args: &[String]) -> Result<Option<Args>, String> {
+        let mut parsed = Args {
+            command,
+            operands: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--help" {
+                return Ok(None);
+            } else if !arg.starts_with("--") {
+                if parsed.operands.len() == command.operands.len() {
+                    return Err(format!("unexpected argument `{arg}`"));
+                }
+                parsed.operands.push(arg.clone());
+                continue;
+            }
+            let (name, takes_value) = (command.flags.iter().copied())
+                .map(split_flag)
+                .find(|(name, _)| name == arg)
+                .ok_or_else(|| format!("unknown flag `{arg}`"))?;
+            let value = if takes_value {
+                let value = args.next().filter(|v| !v.starts_with("--"));
+                value.ok_or_else(|| format!("{arg} needs a value"))?.clone()
+            } else {
+                String::new()
+            };
+            parsed.flags.push((name, value));
+        }
+        Ok(Some(parsed))
+    }
+
+    fn operand(&self, index: usize) -> Option<&str> {
+        self.operands.get(index).map(String::as_str)
+    }
+
+    fn has(&self, name: &'static str) -> bool {
+        self.values(name).next().is_some()
+    }
+
+    /// The value of the first use of flag `name`.
+    fn value(&self, name: &'static str) -> Option<&str> {
+        self.values(name).next()
+    }
+
+    /// The values of every use of flag `name`, in order. Asking for a
+    /// flag the command does not declare is a bug.
+    fn values(&self, name: &'static str) -> impl Iterator<Item = &str> {
+        let declared = self.command.flags.iter().any(|&f| split_flag(f).0 == name);
+        debug_assert!(declared, "`{}` does not declare {name}", self.command.name);
+        let uses = self.flags.iter().filter(move |(flag, _)| *flag == name);
+        uses.map(|(_, value)| value.as_str())
+    }
+
+    /// The value of flag `name` parsed as a `T`, if the flag is given.
+    fn parse_value<T: FromStr>(&self, name: &'static str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        let parse = |v: &str| v.parse().map_err(|e| format!("bad {name} `{v}`: {e}"));
+        self.value(name).map(parse).transpose()
+    }
 }
 
 /// Parse a byte-size argument: a plain count, or a count with a `k`,
@@ -143,8 +311,9 @@ fn parse_byte_size(text: &str) -> Option<u64> {
     count.checked_mul(multiplier).filter(|&n| n > 0)
 }
 
-fn parse_opt(name: &str) -> Result<OptConfig, String> {
-    Ok(match name {
+/// The `--opt` configuration (default `spire`).
+fn opt_config(args: &Args) -> Result<OptConfig, String> {
+    Ok(match args.value("--opt").unwrap_or("spire") {
         "spire" => OptConfig::spire(),
         "cf" => OptConfig::flattening_only(),
         "cn" => OptConfig::narrowing_only(),
@@ -153,19 +322,13 @@ fn parse_opt(name: &str) -> Result<OptConfig, String> {
     })
 }
 
-fn load(args: &[String]) -> Result<(String, String, i64, OptConfig), String> {
-    let path = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("missing input file")?;
+/// The input program, `--entry` and `--depth`.
+fn load(args: &Args) -> Result<(String, String, i64), String> {
+    let path = args.operand(0).ok_or("missing input file")?;
     let source = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let entry = flag(args, "--entry").ok_or("missing --entry")?;
-    let depth: i64 = flag(args, "--depth")
-        .ok_or("missing --depth")?
-        .parse()
-        .map_err(|e| format!("bad --depth: {e}"))?;
-    let opt = parse_opt(&flag(args, "--opt").unwrap_or_else(|| "spire".into()))?;
-    Ok((source, entry, depth, opt))
+    let entry = args.value("--entry").ok_or("missing --entry")?;
+    let depth = args.parse_value("--depth")?.ok_or("missing --depth")?;
+    Ok((source, entry.to_string(), depth))
 }
 
 /// Render a compile error with its source location when one can be
@@ -191,21 +354,22 @@ fn render_compile_error(source: &str, err: &spire::SpireError) -> String {
     )
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), String> {
-    let (source, entry, depth, opt) = load(args)?;
+fn cmd_compile(args: &Args) -> Result<(), String> {
+    let (source, entry, depth) = load(args)?;
+    let sets = input_sets(args)?;
     let compiled = compile_source(
         &source,
         &entry,
         depth,
         WordConfig::paper_default(),
-        &CompileOptions::with_opt(opt),
+        &CompileOptions::with_opt(opt_config(args)?),
     )
     .map_err(|e| render_compile_error(&source, &e))?;
     let circuit = compiled.emit();
     let qc = qcirc::qcformat::write(&circuit);
-    match flag(args, "--out") {
+    match args.value("--out") {
         Some(path) => {
-            fs::write(&path, qc).map_err(|e| format!("writing {path}: {e}"))?;
+            fs::write(path, qc).map_err(|e| format!("writing {path}: {e}"))?;
             println!(
                 "wrote {} gates ({} qubits) to {path}",
                 circuit.len(),
@@ -214,34 +378,25 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         }
         None => print!("{qc}"),
     }
-    if args.iter().any(|a| a == "--simulate") {
-        cmd_simulate(&compiled, args)?;
+    if args.has("--simulate") {
+        cmd_simulate(&compiled, &circuit, &sets)?;
     }
     Ok(())
 }
 
-/// Collect repeated `--set name=value` flags.
-fn input_sets(args: &[String]) -> Result<Vec<(String, u64)>, String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--set" {
-            let kv = args
-                .get(i + 1)
-                .ok_or("missing argument to --set (expected name=value)")?;
+/// Every `--set name=value`, in order.
+fn input_sets(args: &Args) -> Result<Vec<(String, u64)>, String> {
+    args.values("--set")
+        .map(|kv| {
             let (name, value) = kv
                 .split_once('=')
                 .ok_or_else(|| format!("bad --set `{kv}`, expected name=value"))?;
             let value: u64 = value
                 .parse()
                 .map_err(|e| format!("bad value in --set `{kv}`: {e}"))?;
-            out.push((name.to_string(), value));
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    Ok(out)
+            Ok((name.to_string(), value))
+        })
+        .collect()
 }
 
 /// Execute the compiled circuit and print the live variables. Layouts of
@@ -249,25 +404,28 @@ fn input_sets(args: &[String]) -> Result<Vec<(String, u64)>, String> {
 /// variant (full gate set, including Hadamard statements); larger
 /// layouts fall back to the classical simulator, which Tower's
 /// Hadamard-free benchmarks permute exactly.
-fn cmd_simulate(compiled: &Compiled, args: &[String]) -> Result<(), String> {
-    let sets = input_sets(args)?;
+fn cmd_simulate(
+    compiled: &Compiled,
+    circuit: &Circuit,
+    sets: &[(String, u64)],
+) -> Result<(), String> {
     let total = compiled.layout.total_qubits;
     if total <= 64 {
-        let machine = simulate_on::<SparseState>(compiled, &sets)?;
+        let machine = simulate_on::<SparseState>(compiled, circuit, sets)?;
         println!(
             "simulated {total} qubits on the sparse backend ({} nonzero amplitude(s))",
             machine.state().support()
         );
         print_live_vars(compiled, |name| machine.var(name).ok());
     } else if total <= 256 {
-        let machine = simulate_on::<SparseState256>(compiled, &sets)?;
+        let machine = simulate_on::<SparseState256>(compiled, circuit, sets)?;
         println!(
             "simulated {total} qubits on the sparse-wide backend ({} nonzero amplitude(s))",
             machine.state().support()
         );
         print_live_vars(compiled, |name| machine.var(name).ok());
     } else {
-        let machine = simulate_on::<BasisState>(compiled, &sets)?;
+        let machine = simulate_on::<BasisState>(compiled, circuit, sets)?;
         println!("simulated {total} qubits on the classical backend");
         print_live_vars(compiled, |name| machine.var(name).ok());
     }
@@ -276,13 +434,14 @@ fn cmd_simulate(compiled: &Compiled, args: &[String]) -> Result<(), String> {
 
 fn simulate_on<S: qcirc::sim::Simulator>(
     compiled: &Compiled,
+    circuit: &Circuit,
     sets: &[(String, u64)],
 ) -> Result<Machine<S>, String> {
     let mut machine: Machine<S> = Machine::with_backend(&compiled.layout);
     for (name, value) in sets {
         machine.set_var(name, *value).map_err(|e| e.to_string())?;
     }
-    machine.run(&compiled.emit()).map_err(|e| e.to_string())?;
+    machine.run(circuit).map_err(|e| e.to_string())?;
     Ok(machine)
 }
 
@@ -303,8 +462,8 @@ fn print_live_vars(compiled: &Compiled, read: impl Fn(&str) -> Option<u64>) {
     }
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let (source, entry, depth, _) = load(args)?;
+fn cmd_analyze(args: &Args) -> Result<(), String> {
+    let (source, entry, depth) = load(args)?;
     println!("cost model analysis of `{entry}` at depth {depth}:");
     for opt in [
         OptConfig::none(),
@@ -319,7 +478,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             WordConfig::paper_default(),
             &CompileOptions::with_opt(opt),
         )
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| render_compile_error(&source, &e))?;
         let hist = compiled.histogram();
         println!(
             "  {:<9} MCX-complexity {:>10}   T-complexity {:>12}   max controls {:>2}   qubits {:>5}",
@@ -335,18 +494,21 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 
 /// `check`: the spire-verify static analyses as a diagnostics surface
 /// (see `docs/ANALYSIS.md`). Exits nonzero on error-severity diagnostics.
-fn cmd_check(args: &[String]) -> Result<(), String> {
-    let json = args.iter().any(|a| a == "--json");
-    if args.iter().any(|a| a == "--benchmarks") {
+fn cmd_check(args: &Args) -> Result<(), String> {
+    let json = args.has("--json");
+    if args.has("--benchmarks") {
+        if let Some(file) = args.operand(0) {
+            return Err(format!("--benchmarks takes no input file, got `{file}`"));
+        }
         return check_benchmarks(json);
     }
-    let (source, entry, depth, opt) = load(args)?;
+    let (source, entry, depth) = load(args)?;
     let report = spire::check_source(
         &source,
         &entry,
         depth,
         WordConfig::paper_default(),
-        &CompileOptions::with_opt(opt),
+        &CompileOptions::with_opt(opt_config(args)?),
     )
     .map_err(|e| render_compile_error(&source, &e))?;
     if json {
@@ -433,7 +595,7 @@ fn print_report(subject: &str, report: &spire::spire_verify::Report) {
     }
 }
 
-fn cmd_benchmarks() -> Result<(), String> {
+fn cmd_benchmarks(_: &Args) -> Result<(), String> {
     println!("benchmark programs (paper Table 1):");
     for bench in bench_suite::programs::all_benchmarks() {
         println!(
@@ -452,18 +614,20 @@ fn cmd_benchmarks() -> Result<(), String> {
 }
 
 /// `report`: the parallel artifact pipeline (see `docs/EXPERIMENTS.md`).
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let out_dir = PathBuf::from(flag(args, "--out-dir").unwrap_or_else(|| "reports".into()));
-    let check = args.iter().any(|a| a == "--check");
-    let quick = args.iter().any(|a| a == "--quick");
-    let threads = match flag(args, "--threads") {
-        Some(n) => n.parse().map_err(|e| format!("bad --threads: {e}"))?,
-        None => runner::default_threads(),
-    };
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
+fn cmd_report(args: &Args) -> Result<(), String> {
+    let out_dir = PathBuf::from(args.value("--out-dir").unwrap_or("reports"));
+    let check = args.has("--check");
+    let snapshot_dir = Path::new("reports");
+    if check && !snapshot_dir.is_dir() {
+        return Err(format!(
+            "no snapshot to check against at {}",
+            snapshot_dir.display()
+        ));
     }
-    let params = if quick {
+    let threads = args
+        .parse_value("--threads")?
+        .map_or_else(runner::default_threads, NonZeroUsize::get);
+    let params = if args.has("--quick") {
         MatrixParams::quick()
     } else {
         MatrixParams::paper()
@@ -500,274 +664,72 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     // The snapshot being checked against is never overwritten: a plain
     // `report --check` is a pure read-only verification, whatever
     // spelling of the snapshot path --out-dir uses.
-    let snapshot_dir = Path::new("reports");
-    let write = !check || !same_dir(&out_dir, snapshot_dir);
-    if write {
-        write_reports(&out_dir, &summary)?;
+    if !check || !same_dir(&out_dir, snapshot_dir) {
+        report::write_reports(&out_dir, &summary)?;
         println!(
-            "wrote {} to {}",
-            artifact_file_list(&summary),
+            "wrote {} artifacts (Markdown + JSON), README.md, summary.json to {}",
+            summary.artifacts.len(),
             out_dir.display()
         );
     }
     if check {
-        check_reports(snapshot_dir, &summary)?;
+        report::check_reports(snapshot_dir, &summary)?;
         println!(
             "report check passed: {} artifacts match {}",
             summary.artifacts.len(),
             snapshot_dir.display()
         );
     }
-
     Ok(())
 }
 
-/// Whether two directory paths name the same location, robust to
-/// spelling differences (`reports`, `./reports`, `reports/`, absolute).
-/// Falls back to lexical normalization when a path does not exist yet.
+/// Whether `a` and `b` are the same existing directory, however spelled
+/// (`reports`, `./reports/`, absolute). `report --check` has made sure
+/// the snapshot exists, so an `--out-dir` that does not is another one.
 fn same_dir(a: &Path, b: &Path) -> bool {
-    match (fs::canonicalize(a), fs::canonicalize(b)) {
-        (Ok(a), Ok(b)) => a == b,
-        _ => {
-            let normalize = |p: &Path| -> PathBuf {
-                let absolute = std::env::current_dir().unwrap_or_default().join(p);
-                let mut out = PathBuf::new();
-                for component in absolute.components() {
-                    match component {
-                        std::path::Component::CurDir => {}
-                        std::path::Component::ParentDir => {
-                            out.pop();
-                        }
-                        other => out.push(other),
-                    }
-                }
-                out
-            };
-            normalize(a) == normalize(b)
-        }
-    }
-}
-
-fn artifact_file_list(summary: &RunSummary) -> String {
-    format!(
-        "{} artifacts (Markdown + JSON), README.md, summary.json",
-        summary.artifacts.len()
-    )
-}
-
-/// Write every artifact as `<id>.md` and `<id>.json`, plus the index
-/// (`README.md`) and the machine-readable run metadata (`summary.json`).
-fn write_reports(dir: &Path, summary: &RunSummary) -> Result<(), String> {
-    fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let write = |name: String, content: String| -> Result<(), String> {
-        let path = dir.join(name);
-        fs::write(&path, content).map_err(|e| format!("writing {}: {e}", path.display()))
-    };
-    for result in &summary.artifacts {
-        write(format!("{}.md", result.spec.id), artifact_markdown(result))?;
-        write(
-            format!("{}.json", result.spec.id),
-            format!("{}\n", result.artifact.to_json()),
-        )?;
-    }
-    write("README.md".into(), index_markdown(summary))?;
-    write("summary.json".into(), summary_json(summary))?;
-    Ok(())
-}
-
-/// The Markdown document for one artifact (this is what the drift check
-/// compares, after timing normalization).
-fn artifact_markdown(result: &bench_suite::runner::ArtifactResult) -> String {
-    format!(
-        "<!-- generated by `spire-cli report`; do not edit (see docs/EXPERIMENTS.md) -->\n\n{}",
-        result.artifact.to_markdown()
-    )
-}
-
-/// The `reports/README.md` index: one row per artifact. Deliberately free
-/// of timings and machine details so it is as stable as the artifacts.
-fn index_markdown(summary: &RunSummary) -> String {
-    let mut out = String::from(
-        "<!-- generated by `spire-cli report`; do not edit (see docs/EXPERIMENTS.md) -->\n\n\
-         # Paper artifacts\n\n\
-         Every table and figure of the evaluation, regenerated by\n\
-         `cargo run --release -p spire-cli -- report`. The experiment index in\n\
-         [docs/EXPERIMENTS.md](../docs/EXPERIMENTS.md) maps each artifact to the paper and to\n\
-         the code that produces it.\n\n\
-         | artifact | reproduces | generator | files |\n|---|---|---|---|\n",
-    );
-    for result in &summary.artifacts {
-        let id = result.spec.id;
-        out.push_str(&format!(
-            "| {} | {} | `{}` | [{id}.md]({id}.md), [{id}.json]({id}.json) |\n",
-            result.artifact.title(),
-            result.spec.paper_ref,
-            result.spec.function,
-        ));
-    }
-    out
-}
-
-/// Machine-readable run metadata: timings, cache statistics, and the gate
-/// histograms of every benchmark at a reference depth (the `qcirc`
-/// histogram serialization). Not drift-checked — it contains timings.
-fn summary_json(summary: &RunSummary) -> String {
-    use bench_suite::report::json_string;
-    let artifacts: Vec<String> = summary
-        .artifacts
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"id\":{},\"paper_ref\":{},\"function\":{},\"seconds\":{:.6}}}",
-                json_string(r.spec.id),
-                json_string(r.spec.paper_ref),
-                json_string(r.spec.function),
-                r.wall.as_secs_f64(),
-            )
-        })
-        .collect();
-    let reference_depth = 4;
-    let histograms: Vec<String> = bench_suite::programs::all_benchmarks()
-        .iter()
-        .map(|bench| {
-            let depth = if bench.constant { 0 } else { reference_depth };
-            let compiled = |options: &CompileOptions| {
-                spire::compile_source_cached(
-                    &bench.source,
-                    bench.entry,
-                    depth,
-                    WordConfig::paper_default(),
-                    options,
-                )
-            };
-            let hist = |options: &CompileOptions| {
-                compiled(options).map_or_else(|_| "null".into(), |c| c.histogram().to_json())
-            };
-            // The fully decomposed Clifford+T gate counts of the
-            // Spire-optimized circuit (Tables 5/6 currency).
-            let clifford_t = compiled(&CompileOptions::spire())
-                .ok()
-                .and_then(|c| qcirc::decompose::to_clifford_t(&c.emit()).ok()).map_or_else(|| "null".into(), |circuit| circuit.clifford_t_counts().to_json());
-            format!(
-                "{{\"name\":{},\"group\":{},\"entry\":{},\"depth\":{depth},\"baseline\":{},\"spire\":{},\"spire_clifford_t\":{}}}",
-                json_string(bench.name),
-                json_string(bench.group),
-                json_string(bench.entry),
-                hist(&CompileOptions::baseline()),
-                hist(&CompileOptions::spire()),
-                clifford_t,
-            )
-        })
-        .collect();
-    format!(
-        "{{\"threads\":{},\"warm_jobs\":{},\"warm_seconds\":{:.6},\"wall_seconds\":{:.6},\
-         \"peak_parallelism\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\
-         \"artifacts\":[{}],\"benchmark_histograms\":[{}]}}\n",
-        summary.threads,
-        summary.warm_jobs,
-        summary.warm_wall.as_secs_f64(),
-        summary.wall.as_secs_f64(),
-        summary.parallelism.peak,
-        summary.cache.hits,
-        summary.cache.misses,
-        summary.cache.entries,
-        artifacts.join(","),
-        histograms.join(","),
-    )
-}
-
-/// Compare the regenerated Markdown against the committed snapshot,
-/// normalizing wall-clock timing cells on both sides.
-fn check_reports(snapshot_dir: &Path, summary: &RunSummary) -> Result<(), String> {
-    let mut drifted = Vec::new();
-    for result in &summary.artifacts {
-        let name = format!("{}.md", result.spec.id);
-        let path = snapshot_dir.join(&name);
-        let committed = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) => {
-                drifted.push(format!("{name}: unreadable ({e})"));
-                continue;
-            }
-        };
-        let fresh = artifact_markdown(result);
-        if normalize_timings(&committed) != normalize_timings(&fresh) {
-            drifted.push(format!("{name}: content differs"));
-        }
-    }
-    let index_path = snapshot_dir.join("README.md");
-    match fs::read_to_string(&index_path) {
-        Ok(committed) if committed == index_markdown(summary) => {}
-        Ok(_) => drifted.push("README.md: content differs".into()),
-        Err(e) => drifted.push(format!("README.md: unreadable ({e})")),
-    }
-    if drifted.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "report drift against {} in {} file(s):\n  {}\n\
-             regenerate with `cargo run --release -p spire-cli -- report` and commit the result",
-            snapshot_dir.display(),
-            drifted.len(),
-            drifted.join("\n  ")
-        ))
-    }
+    matches!((fs::canonicalize(a), fs::canonicalize(b)), (Ok(a), Ok(b)) if a == b)
 }
 
 /// `serve`: run the compile-and-estimate service until killed.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut config = spire_serve::ServerConfig {
-        addr: flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8577".into()),
-        ..spire_serve::ServerConfig::default()
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    let defaults = spire_serve::ServerConfig::default();
+    let disk_faults = match args.value("--inject-disk-faults") {
+        Some(spec) => {
+            let schedule = spire::FaultSchedule::parse(spec)
+                .map_err(|e| format!("bad --inject-disk-faults: {e}"))?;
+            eprintln!(
+                "spire-serve: injecting disk faults ({}); this flag is for chaos testing only",
+                schedule.label()
+            );
+            Some(schedule)
+        }
+        None => None,
     };
-    if let Some(threads) = flag(args, "--threads") {
-        config.threads = threads
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("bad --threads: expected a positive integer")?;
-    }
-    if let Some(backlog) = flag(args, "--backlog") {
-        config.backlog = backlog
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("bad --backlog: expected a positive integer")?;
-    }
-    if let Some(dir) = flag(args, "--cache-dir") {
-        config.cache_dir = Some(PathBuf::from(dir));
-    }
-    if let Some(bytes) = flag(args, "--cache-bytes") {
-        config.cache_bytes = Some(
-            parse_byte_size(&bytes)
-                .ok_or("bad --cache-bytes: expected a byte count like 16777216, 64k, or 256m")?,
-        );
-    }
-    if args.iter().any(|a| a == "--compact-on-start") {
-        config.compact_on_start = true;
-    }
-    if let Some(spec) = flag(args, "--inject-disk-faults") {
-        let schedule = spire::FaultSchedule::parse(&spec)
-            .map_err(|e| format!("bad --inject-disk-faults: {e}"))?;
-        eprintln!(
-            "spire-serve: injecting disk faults ({}); this flag is for chaos testing only",
-            schedule.label()
-        );
-        config.disk_faults = Some(schedule);
-    }
-    if let Some(sample) = flag(args, "--trace-sample") {
-        config.trace_sample = sample
-            .parse()
-            .map_err(|e| format!("bad --trace-sample: {e}"))?;
-    }
-    if let Some(seed) = flag(args, "--trace-seed") {
-        config.trace_seed = seed.parse().map_err(|e| format!("bad --trace-seed: {e}"))?;
-    }
-    if let Some(capacity) = flag(args, "--slow-log") {
-        config.slow_log = capacity
-            .parse()
-            .map_err(|e| format!("bad --slow-log: {e}"))?;
-    }
+    let cache_bytes = args.value("--cache-bytes").map(|bytes| {
+        parse_byte_size(bytes)
+            .ok_or("bad --cache-bytes: expected a byte count like 16777216, 64k, or 256m")
+    });
+    let config = spire_serve::ServerConfig {
+        addr: args.value("--addr").unwrap_or("127.0.0.1:8577").to_string(),
+        threads: args
+            .parse_value("--threads")?
+            .map_or(defaults.threads, NonZeroUsize::get),
+        backlog: args
+            .parse_value("--backlog")?
+            .map_or(defaults.backlog, NonZeroUsize::get),
+        cache_dir: args.value("--cache-dir").map(PathBuf::from),
+        cache_bytes: cache_bytes.transpose()?,
+        compact_on_start: args.has("--compact-on-start"),
+        disk_faults,
+        trace_sample: args
+            .parse_value("--trace-sample")?
+            .unwrap_or(defaults.trace_sample),
+        trace_seed: args
+            .parse_value("--trace-seed")?
+            .unwrap_or(defaults.trace_seed),
+        slow_log: args.parse_value("--slow-log")?.unwrap_or(defaults.slow_log),
+        ..defaults
+    };
     let threads = config.threads;
     let server = spire_serve::Server::start(config).map_err(|e| format!("starting server: {e}"))?;
     // The smoke tooling greps this line for the ephemeral port.
@@ -780,44 +742,33 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 /// `loadtest`: closed-loop load generation + `BENCH_serve.json`.
-fn cmd_loadtest(args: &[String]) -> Result<(), String> {
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut config = if quick {
+fn cmd_loadtest(args: &Args) -> Result<(), String> {
+    let mut config = if args.has("--quick") {
         spire_serve::LoadConfig::quick()
     } else {
         spire_serve::LoadConfig::full()
     };
-    config.addr = flag(args, "--addr");
-    if let Some(workers) = flag(args, "--workers") {
-        config.workers = workers
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("bad --workers: expected a positive integer")?;
+    config.addr = args.value("--addr").map(String::from);
+    if let Some(workers) = args.parse_value::<NonZeroUsize>("--workers")? {
+        config.workers = workers.get();
     }
-    if let Some(seconds) = flag(args, "--seconds") {
-        let seconds: f64 = seconds.parse().map_err(|e| format!("bad --seconds: {e}"))?;
+    if let Some(seconds) = args.parse_value::<f64>("--seconds")? {
         if !seconds.is_finite() || seconds <= 0.0 {
             return Err("bad --seconds: must be a positive number".into());
         }
         config.duration = std::time::Duration::from_secs_f64(seconds);
     }
-    if let Some(depth) = flag(args, "--depth") {
+    if let Some(depth) = args.parse_value("--depth")? {
         // Validate against the server's own cap up front: a rejected
         // depth would silently turn the whole run into an error-latency
         // benchmark and poison the BENCH_serve.json trajectory.
-        config.depth = depth
-            .parse()
-            .ok()
-            .filter(|d| (0..=spire_serve::api::MAX_DEPTH).contains(d))
-            .ok_or(format!(
-                "bad --depth: expected an integer in 0..={}",
-                spire_serve::api::MAX_DEPTH
-            ))?;
+        let max = spire_serve::api::MAX_DEPTH;
+        if !(0..=max).contains(&depth) {
+            return Err(format!("bad --depth: expected an integer in 0..={max}"));
+        }
+        config.depth = depth;
     }
-    if let Some(out) = flag(args, "--trace-out") {
-        config.trace_out = Some(PathBuf::from(out));
-    }
+    config.trace_out = args.value("--trace-out").map(PathBuf::from);
     match &config.addr {
         Some(addr) => println!(
             "load-testing {addr}: {} workers, {:.1} s",
@@ -876,12 +827,9 @@ fn cmd_loadtest(args: &[String]) -> Result<(), String> {
     if let Some(out) = &config.trace_out {
         println!("wrote Chrome trace to {}", out.display());
     }
-    let out_dir = match flag(args, "--out-dir") {
-        Some(dir) => PathBuf::from(dir),
-        None => workspace_root().to_path_buf(),
-    };
+    let out_dir = args.value("--out-dir").map_or(workspace_root(), Path::new);
     let path = report
-        .write_json(&out_dir)
+        .write_json(out_dir)
         .map_err(|e| format!("writing BENCH_serve.json: {e}"))?;
     println!("wrote {}", path.display());
     Ok(())
@@ -889,11 +837,13 @@ fn cmd_loadtest(args: &[String]) -> Result<(), String> {
 
 /// `trace`: export a running server's slow log as Chrome trace_event
 /// JSON, loadable in `chrome://tracing` or Perfetto.
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let addr = flag(args, "--addr").ok_or("missing --addr (a running spire-serve instance)")?;
-    let out = PathBuf::from(flag(args, "--out").unwrap_or_else(|| "trace.json".into()));
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    let addr = args
+        .value("--addr")
+        .ok_or("missing --addr (a running spire-serve instance)")?;
+    let out = Path::new(args.value("--out").unwrap_or("trace.json"));
     let mut stream =
-        std::net::TcpStream::connect(&addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+        std::net::TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
     spire_serve::http::set_timeouts(
         &stream,
         std::time::Duration::from_secs(30),
@@ -906,7 +856,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     if status != 200 {
         return Err(format!("/debug/slow?format=chrome returned {status}"));
     }
-    fs::write(&out, &body).map_err(|e| format!("writing {}: {e}", out.display()))?;
+    fs::write(out, &body).map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!(
         "wrote {} ({} bytes); open it in chrome://tracing or https://ui.perfetto.dev",
         out.display(),
@@ -926,46 +876,80 @@ fn workspace_root() -> &'static Path {
         .unwrap_or_else(|| Path::new("."))
 }
 
-fn cmd_experiments(args: &[String]) -> Result<(), String> {
-    let which = args.first().map_or("all", String::as_str);
-    let run = |id: &str| -> Result<(), String> {
-        match id {
-            "fig2" => println!("{}", experiments::fig2(2..=10).render()),
-            "fig12" | "fig12a" | "fig12b" => println!("{}", experiments::fig12(2..=10).render()),
-            "fig15a" => println!("{}", experiments::fig15a(2..=10).render()),
-            "fig15b" => println!("{}", experiments::fig15b(2..=10).render()),
-            "table1" => println!("{}", experiments::table1(10).render()),
-            "table2" => println!("{}", experiments::table2(10).render()),
-            "table4" => println!("{}", experiments::table4(&[2, 10]).render()),
-            "table5" | "table6" => println!("{}", experiments::table5(5).render()),
-            "fig24" => println!("{}", experiments::fig24(2..=10).render()),
-            "appendix-a" => {
-                println!(
-                    "{}",
-                    experiments::appendix_a(6, &[2, 4, 8, 12, 16]).render()
-                );
-            }
-            other => return Err(format!("unknown experiment `{other}`")),
-        }
-        Ok(())
+/// `experiments <id>`: one artifact of `report`, run at paper scale and
+/// printed as the Markdown `report` writes without its header.
+fn cmd_experiments(args: &Args) -> Result<(), String> {
+    let id = match args.operand(0).unwrap_or("all") {
+        "fig12a" | "fig12b" => "fig12",
+        "table6" => "table5",
+        id => id,
     };
-    if which == "all" {
-        for id in [
-            "fig2",
-            "fig12",
-            "fig15a",
-            "fig15b",
-            "table1",
-            "table2",
-            "table4",
-            "table5",
-            "fig24",
-            "appendix-a",
-        ] {
-            run(id)?;
+    let specs = runner::artifact_specs();
+    let chosen: Vec<_> = specs.iter().filter(|s| id == "all" || s.id == id).collect();
+    if chosen.is_empty() {
+        let ids: Vec<&str> = specs.iter().map(|s| s.id).collect();
+        return Err(format!(
+            "unknown experiment `{id}` (expected {} or all)",
+            ids.join(", ")
+        ));
+    }
+    let params = MatrixParams::paper();
+    for (i, spec) in chosen.iter().enumerate() {
+        if i > 0 {
+            println!();
         }
-        Ok(())
-    } else {
-        run(which)
+        print!("{}", spec.run(&params).to_markdown());
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(command: &str, args: &[&str]) -> Result<Option<Args>, String> {
+        let command = COMMANDS
+            .iter()
+            .find(|c| c.name == command)
+            .expect("command");
+        let args: Vec<String> = args.iter().map(|&a| a.to_string()).collect();
+        Args::parse(command, &args)
+    }
+
+    #[test]
+    fn every_flag_is_declared_once_with_help() {
+        for command in COMMANDS {
+            let mut names: Vec<&str> = Vec::new();
+            for &flag in command.flags.iter().chain([&HELP]) {
+                let (name, takes_value) = split_flag(flag);
+                assert!(name.starts_with("--"), "{}: {flag:?}", command.name);
+                let words = flag.split_whitespace().count();
+                assert!(words > 1 + usize::from(takes_value), "no help: {flag:?}");
+                names.push(name);
+            }
+            let count = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), count, "{} repeats a flag", command.name);
+        }
+    }
+
+    #[test]
+    fn flags_take_values_only_when_declared_to() {
+        let args = parse(
+            "compile",
+            &["p.twr", "--simulate", "--set", "x=1", "--set", "y=2"],
+        )
+        .expect("parses")
+        .expect("not --help");
+        assert_eq!(args.operand(0), Some("p.twr"));
+        assert!(args.has("--simulate"));
+        assert_eq!(args.values("--set").collect::<Vec<_>>(), ["x=1", "y=2"]);
+        assert!(parse("compile", &["--entry", "--depth", "1"]).is_err());
+        assert!(parse("report", &["--check", "extra"]).is_err());
+        assert!(parse("report", &["--out-dir"]).is_err());
+        assert!(parse("report", &["--check", "--help"])
+            .expect("help")
+            .is_none());
     }
 }
